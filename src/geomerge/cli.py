@@ -58,10 +58,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_CONFIG
     except (FileNotFoundError, ContainerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_IO
     except (
         NonFiniteError,
@@ -71,8 +71,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         AlignmentError,
         ValueError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_NUMERIC
+
+
+def _print_error(exc: Exception) -> None:
+    notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+    print(f"error: {exc}{notes}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -35,14 +36,12 @@ from .delta_ops import (
     task_vector,
     trim_topk,
 )
-from .errors import AlignmentError, ConfigError, DegenerateError
+from .errors import AlignmentError, ConfigError, DegenerateError, NonFiniteError
 from .sphere import (
     DEGENERATE_NORM,
     KarcherConfig,
     karcher_mean,
     normalize_to_sphere,
-    sphere_exp,
-    sphere_log,
     slerp as unit_slerp,
 )
 from .tensor_io import CheckpointHandle, TensorRecord, validate_aligned, write_checkpoint
@@ -149,9 +148,23 @@ def weighted_sum(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarr
     return acc
 
 
-def _all_equal(vectors: Sequence[np.ndarray]) -> bool:
-    first = _as_f64(vectors[0])
-    return all(np.array_equal(first, _as_f64(v)) for v in vectors[1:])
+def _stack_rows(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Flattened sources as the rows of one new float64 matrix."""
+    return np.stack([np.ravel(v) for v in vectors], dtype=np.float64)
+
+
+def _rows_equal(stack: np.ndarray) -> bool:
+    return all(np.array_equal(stack[0], row) for row in stack[1:])
+
+
+def _row_norms(stack: np.ndarray) -> np.ndarray:
+    norms = np.array([np.linalg.norm(row) for row in stack])
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise NonFiniteError(
+            f"source {int(bad[0])} has NaN/Inf entries or a norm beyond float64 range"
+        )
+    return norms
 
 
 # -- merge rules -----------------------------------------------------------
@@ -183,33 +196,26 @@ def merge_multislerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) ->
 
     Directions are averaged in the tangent space at the normalized weighted
     Euclidean mean, then mapped back and rescaled by the weighted mean of
-    the source norms.  Equivalent to a single unit-step of the barycenter
-    iteration from the chord initialization.
+    the source norms: a single unit-step of the barycenter iteration from
+    the chord initialization.
     """
     if len(tensors) < 2:
         raise ValueError("multislerp requires at least 2 tensors")
     w = _norm_weights(weights, len(tensors))
-    if _all_equal(tensors):
-        return _as_f64(tensors[0]).copy()
-    units = []
-    norms = np.empty(len(tensors))
-    for i, vec in enumerate(tensors):
-        nv = normalize_to_sphere(vec)
-        if nv is None:
-            raise DegenerateError(f"multislerp source {i} has (near-)zero norm")
-        units.append(nv[0])
-        norms[i] = nv[1]
-    chord = weighted_sum(units, w)
-    chord_norm = float(np.linalg.norm(chord))
-    if chord_norm < DEGENERATE_NORM:
+    stack = _stack_rows(tensors)
+    if _rows_equal(stack):
+        return stack[0].copy()
+    norms = _row_norms(stack)
+    zero = np.flatnonzero(norms < DEGENERATE_NORM)
+    if zero.size:
+        raise DegenerateError(f"multislerp source {int(zero[0])} has (near-)zero norm")
+    chord = (w / norms) @ stack
+    if float(np.linalg.norm(chord)) < DEGENERATE_NORM:
         logger.warning("multislerp basepoint degenerate (symmetric sources); using lerp")
         return merge_lerp(tensors, weights)
-    base = chord / chord_norm
-    tangent = np.zeros_like(base)
-    for w_i, u in zip(w, units):
-        tangent += w_i * sphere_log(base, u)
-    direction = sphere_exp(base, tangent)
-    return direction * float(w @ norms)
+    # the smallest positive tol never stops the loop before its single step
+    one_step = KarcherConfig(eta=1.0, tol=sys.float_info.min, max_iter=1)
+    return karcher_mean(stack, w, one_step).mean * float(w @ norms)
 
 
 def merge_karcher(
@@ -225,23 +231,16 @@ def merge_karcher(
     weighted mean of all source norms.
     """
     w = _norm_weights(weights, len(tensors))
-    if _all_equal(tensors):
-        return _as_f64(tensors[0]).copy(), SolverStats(0, 0.0, True)
-    units: list[np.ndarray] = []
-    kept_weights: list[float] = []
-    norms = np.zeros(len(tensors))
-    for i, vec in enumerate(tensors):
-        nv = normalize_to_sphere(vec)
-        if nv is None:
-            continue
-        units.append(nv[0])
-        kept_weights.append(float(w[i]))
-        norms[i] = nv[1]
-    if not units:
-        return weighted_sum(tensors, w), SolverStats(0, 0.0, True)
-    result = karcher_mean(units, np.asarray(kept_weights), config)
+    stack = _stack_rows(tensors)
+    if _rows_equal(stack):
+        return stack[0].copy(), SolverStats(0, 0.0, True)
+    norms = _row_norms(stack)
+    live = norms >= DEGENERATE_NORM
+    if not live.any():
+        return weighted_sum(stack, w), SolverStats(0, 0.0, True)
+    result = karcher_mean(stack if live.all() else stack[live], w[live], config)
     stats = SolverStats(result.iterations, result.residual, result.converged)
-    return result.mean * float(w @ norms), stats
+    return result.mean * float(w @ np.where(live, norms, 0.0)), stats
 
 
 def merge_task_arithmetic(
@@ -496,6 +495,20 @@ def _make_tensor_merger(method: MergeMethod, weights: np.ndarray):
     return run
 
 
+def _name_tensor(exc: Exception, name: str) -> None:
+    """Put the tensor name into ``exc``'s message in place, keeping its type.
+
+    A plain one-message exception gets the name prefixed to its message.
+    Others, such as ``UnicodeDecodeError`` whose message is built from five
+    fields, cannot be rebuilt from a string and get the name as a note.
+    """
+    label = f"tensor {name!r}"
+    if len(exc.args) == 1 and str(exc) == exc.args[0]:
+        exc.args = (f"{label}: {exc}",)
+    else:  # what BaseException.add_note does, which needs Python 3.11
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), label]
+
+
 def run_merge(job: MergeJob) -> MergeSummary:
     """Merge every aligned tensor of the job and write the output checkpoint.
 
@@ -592,7 +605,8 @@ def run_merge(job: MergeJob) -> MergeSummary:
                 if job.strict:
                     for pending in futures.values():
                         pending.cancel()
-                    raise type(exc)(f"tensor {name!r}: {exc}") from exc
+                    _name_tensor(exc, name)
+                    raise
                 logger.warning("tensor %r failed (%s); copying fallback", name, exc)
                 failed_names.append(name)
 

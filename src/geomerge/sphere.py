@@ -6,6 +6,18 @@ internally, so reductions carry full double-precision partials regardless of
 the caller's working precision.  Points passed to the solver are
 re-normalized on entry; outputs of the exp map are re-normalized before
 return.
+
+The barycenter solver follows the fixed-point scheme of Buss & Fillmore
+("Spherical averages and applications to spherical splines and
+interpolation", ACM TOG 2001).  Every iterate lies in the span of the m unit
+points u_i, so it is kept as coefficients beta (x = sum_i beta_i u_i) and the
+loop runs on the m x m Gram matrix G = U U^T: one O(m^2 n) product, then
+O(m^2) per iteration, then O(m n) to rebuild x and measure the residual.
+The reported ``residual`` is the tangent-mean norm computed in n-space at
+the returned iterate, so ``converged`` means ``residual < tol`` there; an
+iterate the Gram estimate calls converged but n-space does not is iterated
+further.  The solver has fixed summation order and no state shared between
+tensors, so merges stay byte-identical for any ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -47,7 +59,8 @@ class KarcherResult:
     """Fixed point reached by the solver plus its exit diagnostics.
 
     ``residual`` is the norm of the weighted tangent-space mean at the final
-    iterate; ``converged`` holds exactly when ``residual < tol``.
+    iterate, measured in n-space; ``converged`` holds exactly when
+    ``residual < tol``.
     """
 
     mean: np.ndarray
@@ -159,24 +172,50 @@ def frechet_objective(
     return float(np.dot(w, np.arccos(dots) ** 2))
 
 
-def _tangent_mean(
-    x: np.ndarray, pts: np.ndarray, w: np.ndarray, antipodal_eps: float, iteration: int
+def _tangent_coefficients(
+    dots: np.ndarray, beta: np.ndarray, w: np.ndarray, antipodal_eps: float, iteration: int
 ) -> np.ndarray:
-    """Weighted mean of log maps at ``x``, vectorized over points."""
-    dots = np.clip(pts @ x, -1.0, 1.0)
+    """Coefficients on the unit points of the weighted mean of log maps.
+
+    ``dots`` holds <u_i, x> and ``beta`` the coefficients of the iterate x.
+    Log_x(u_i) = (theta_i / sin theta_i) (u_i - <u_i, x> x), so the weighted
+    mean is sum_i gamma_i u_i with gamma = w*coef - (sum_i w_i coef_i c_i) beta,
+    which is tangent at x by construction.
+    """
+    dots = np.clip(dots, -1.0, 1.0)
     bad = np.nonzero(dots <= -1.0 + antipodal_eps)[0]
     if bad.size:
         raise AntipodalError(
             f"point {int(bad[0])} is antipodal to the iterate at iteration {iteration}"
         )
-    thetas = np.arccos(dots)
-    residuals = pts - dots[:, None] * x[None, :]
-    rnorms = np.linalg.norm(residuals, axis=1)
-    coef = np.where(
-        (thetas < _ZERO_ANGLE) | (rnorms < DEGENERATE_NORM), 0.0, thetas / np.maximum(rnorms, 1e-300)
-    )
+    # theta / sin(theta), with its limit 1 at theta = 0; smooth in theta, so
+    # the digits arccos loses on tiny angles do not matter
+    coef = 1.0 / np.sinc(np.arccos(dots) / np.pi)
+    wc = w * coef
     # fixed summation order (input order) keeps results reproducible
-    return (w * coef) @ residuals
+    return wc - float(wc @ dots) * beta
+
+
+def _at_iterate(
+    pts: np.ndarray,
+    inv_norms: np.ndarray,
+    beta: np.ndarray,
+    w: np.ndarray,
+    antipodal_eps: float,
+    iteration: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Rebuild the iterate in n-space and measure the stationarity residual there.
+
+    Returns (x, beta, gamma, residual) with x re-normalized by its n-space norm
+    and gamma the tangent-mean coefficients from n-space dot products.
+    """
+    x = (beta * inv_norms) @ pts
+    x_norm = float(np.linalg.norm(x))
+    x /= x_norm
+    beta = beta / x_norm
+    gamma = _tangent_coefficients((pts @ x) * inv_norms, beta, w, antipodal_eps, iteration)
+    residual = float(np.linalg.norm((gamma * inv_norms) @ pts))
+    return x, beta, gamma, residual
 
 
 def karcher_mean(
@@ -191,31 +230,56 @@ def karcher_mean(
     ``Exp_x(eta * mean_i w_i Log_x(u_i))`` until the tangent-mean norm drops
     below ``tol`` or ``max_iter`` steps have been taken.  Non-convergence
     returns the last iterate with ``converged=False`` rather than raising.
+
+    The iterate is kept as coefficients on the points and the loop runs on
+    their Gram matrix; see the module docstring.  A 2-D float64 ``points``
+    array is used as given, without a copy.
     """
     cfg = config or KarcherConfig()
-    pts = np.atleast_2d(_as_f64(np.asarray(points)))
-    m = pts.shape[0]
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m, n = pts.shape
     if m == 0:
         raise ValueError("karcher_mean requires at least one point")
-    norms = np.linalg.norm(pts, axis=1)
+    w = _normalized_weights(weights, m)
+    gram = pts @ pts.T
+    norms = np.sqrt(np.diagonal(gram))
     if (norms < DEGENERATE_NORM).any():
         bad = int(np.argmin(norms))
         raise ValueError(f"point {bad} has (near-)zero norm; not a direction")
-    pts = pts / norms[:, None]
-    w = _normalized_weights(weights, m)
+    # normalize in coefficient space: the unit points are pts / norms
+    inv_norms = 1.0 / norms
+    gram *= np.outer(inv_norms, inv_norms)
 
-    chord = w @ pts
+    chord = (w * inv_norms) @ pts
     chord_norm = float(np.linalg.norm(chord))
     if chord_norm < DEGENERATE_NORM:
-        x = pts[int(np.argmax(w))].copy()
+        beta = np.zeros(m)
+        beta[int(np.argmax(w))] = 1.0
     else:
-        x = chord / chord_norm
+        beta = w / chord_norm
+    del chord
 
-    for iteration in range(cfg.max_iter + 1):
-        v = _tangent_mean(x, pts, w, cfg.antipodal_eps, iteration)
-        residual = float(np.linalg.norm(v))
-        if residual < cfg.tol:
-            return KarcherResult(mean=x, iterations=iteration, residual=residual, converged=True)
-        if iteration == cfg.max_iter:
-            return KarcherResult(mean=x, iterations=iteration, residual=residual, converged=False)
-        x = sphere_exp(x, cfg.eta * v)
+    # gamma^T G gamma carries rounding of about this much times ||gamma||_1^2;
+    # within it of tol^2 the residual is decided in n-space instead
+    slack = 16.0 * (m + np.sqrt(n)) * np.finfo(np.float64).eps
+    iteration = 0
+    while True:
+        gamma = _tangent_coefficients(gram @ beta, beta, w, cfg.antipodal_eps, iteration)
+        r2 = float(gamma @ gram @ gamma)
+        last = iteration == cfg.max_iter
+        if last or r2 < cfg.tol**2 + slack * float(np.abs(gamma).sum()) ** 2:
+            x, beta, gamma, residual = _at_iterate(
+                pts, inv_norms, beta, w, cfg.antipodal_eps, iteration
+            )
+            if residual < cfg.tol or last:
+                return KarcherResult(
+                    mean=x, iterations=iteration, residual=residual, converged=residual < cfg.tol
+                )
+            r = residual
+        else:
+            r = float(np.sqrt(r2))
+        step = cfg.eta * r
+        if step >= _ZERO_ANGLE:
+            beta = np.cos(step) * beta + (np.sin(step) / r) * gamma
+            beta /= float(np.sqrt(beta @ gram @ beta))
+        iteration += 1

@@ -123,3 +123,48 @@ def hemisphere_points(
                 pts[i] = v / norm
                 break
     return pts
+
+
+# -- n-space barycenter iteration (reference solver) ---------------------------
+
+
+def karcher_direct(
+    points: np.ndarray,
+    weights: np.ndarray,
+    tol: float = 1e-6,
+    max_iter: int = 50,
+    eta: float = 1.0,
+) -> tuple[np.ndarray, int, float, bool]:
+    """Fixed-point barycenter iteration carried out on full n-vectors.
+
+    Each step builds every log map u_i - <u_i, x> x explicitly, so one
+    iteration costs O(m n).  Returns (mean, iterations, residual, converged)
+    with the same stopping rule as the package solver: stop at the first
+    iterate whose tangent-mean norm is below ``tol``, or at ``max_iter``.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    pts = pts / np.linalg.norm(pts, axis=1)[:, None]
+    w = np.asarray(weights, dtype=np.float64)
+    w = w / w.sum()
+    chord = w @ pts
+    chord_norm = np.linalg.norm(chord)
+    x = pts[int(np.argmax(w))].copy() if chord_norm < 1e-12 else chord / chord_norm
+    for iteration in range(max_iter + 1):
+        dots = np.clip(pts @ x, -1.0, 1.0)
+        if (dots <= -1.0 + 1e-8).any():
+            raise ValueError(f"antipodal point at iteration {iteration}")
+        thetas = np.arccos(dots)
+        residuals = pts - dots[:, None] * x[None, :]
+        rnorms = np.linalg.norm(residuals, axis=1)
+        coef = np.where(
+            (thetas < 1e-12) | (rnorms < 1e-12), 0.0, thetas / np.maximum(rnorms, 1e-300)
+        )
+        v = (w * coef) @ residuals
+        residual = float(np.linalg.norm(v))
+        if residual < tol or iteration == max_iter:
+            return x, iteration, residual, residual < tol
+        step = eta * residual
+        if step >= 1e-12:
+            x = np.cos(step) * x + np.sin(step) * (v / residual)
+            x = x / np.linalg.norm(x)
+    raise AssertionError("unreachable")

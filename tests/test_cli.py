@@ -89,6 +89,38 @@ class TestMerge:
         assert rc == 3
         assert "NaN" in capsys.readouterr().err
 
+    def test_tight_tol_merges(self, workspace):
+        # with three sources the tangent mean reaches its rounding floor near tol
+        rng = np.random.default_rng(93)
+        write_checkpoint(
+            workspace / "c.st",
+            [
+                TensorRecord("w0", rng.standard_normal((4, 6)).astype(np.float32)),
+                TensorRecord("w1", rng.standard_normal((6, 3)).astype(np.float32)),
+            ],
+        )
+        recipe = workspace / "r.yaml"
+        recipe.write_text(
+            f"method: karcher\nmodels: [{workspace/'a.st'}, {workspace/'b.st'}, {workspace/'c.st'}]\n"
+            f"output: {{path: {workspace/'m.st'}}}\nparameters: {{tol: 1.0e-12}}\n"
+        )
+        assert main(["merge", str(recipe)]) == 0
+        summary = json.loads((workspace / "m.st.summary.json").read_text())
+        assert all(t["converged"] for t in summary["per_tensor"])
+
+    def test_strict_failure_of_multi_argument_exception_exit_3(self, workspace, capsys, monkeypatch):
+        from geomerge import merge_methods
+
+        def broken(tensors, weights):
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        monkeypatch.setattr(merge_methods, "merge_lerp", broken)
+        rc = main(["merge", str(_recipe(workspace, method="lerp")), "--threads", "1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "invalid start byte" in err
+        assert "tensor 'w0'" in err
+
     def test_override_seed_echoed_in_summary(self, workspace):
         recipe = _recipe(workspace, method="dare_lerp", extra=f"base_model: {workspace/'a.st'}\n")
         rc = main(["merge", str(recipe), "--set", "parameters.seed=7"])

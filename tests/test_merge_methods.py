@@ -7,6 +7,7 @@ import logging
 import numpy as np
 import pytest
 
+from geomerge import merge_methods
 from geomerge.delta_ops import SparsifySpec
 from geomerge.errors import AlignmentError, ConfigError, DegenerateError
 from geomerge.merge_methods import (
@@ -170,6 +171,24 @@ class TestKarcherMerge:
             assert abs(np.linalg.norm(karcher_out) - 1.0) < 1e-6
             assert np.linalg.norm(lerp_out) < 1.0
             assert np.linalg.norm(lerp_out) <= 1.0  # triangle inequality
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_tight_tol_does_not_crash(self, tol):
+        # at 1M elements the residual nears its rounding floor before tol
+        rng = np.random.default_rng(0)
+        sources = [rng.standard_normal(1 << 20) for _ in range(3)]
+        out, stats = merge_karcher(sources, np.ones(3), KarcherConfig(tol=tol))
+        assert stats.converged
+        assert stats.residual < tol
+        assert np.isfinite(out).all()
+
+    def test_stall_below_rounding_floor_reported_not_raised(self):
+        rng = np.random.default_rng(48)
+        sources = [rng.standard_normal(1 << 20) for _ in range(3)]
+        _, stats = merge_karcher(sources, np.ones(3), KarcherConfig(tol=1e-300, max_iter=5))
+        assert not stats.converged
+        assert stats.iterations == 5
+        assert np.isfinite(stats.residual)
 
     def test_custom_config_respected(self):
         rng = np.random.default_rng(46)
@@ -515,6 +534,20 @@ class TestRunMerge:
             )
             with pytest.raises(Exception, match="'x'"):
                 run_merge(job)
+
+    def test_strict_failure_keeps_type_of_multi_argument_exception(self, tmp_path, monkeypatch):
+        def broken(tensors, weights):
+            raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        monkeypatch.setattr(merge_methods, "merge_lerp", broken)
+        paths = self._sources(tmp_path, np.random.default_rng(59))
+        with open_checkpoint(paths[0]) as h1, open_checkpoint(paths[1]) as h2:
+            job = MergeJob(sources=[h1, h2], method=MergeMethod("lerp"), out_path=tmp_path / "o.st")
+            with pytest.raises(UnicodeDecodeError) as info:
+                run_merge(job)
+        assert type(info.value) is UnicodeDecodeError
+        assert info.value.reason == "invalid start byte"
+        assert any(name in " ".join(info.value.__notes__) for name in ("'w0'", "'w1'", "'bias'"))
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         rng = np.random.default_rng(60)

@@ -16,7 +16,7 @@ from geomerge.sphere import (
     sphere_exp,
     sphere_log,
 )
-from oracles import grid_frechet_minimizer, hemisphere_points, sphere_grid
+from oracles import grid_frechet_minimizer, hemisphere_points, karcher_direct, sphere_grid
 
 E1, E2, E3 = np.eye(3)
 
@@ -298,6 +298,77 @@ class TestKarcherMean:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             karcher_mean([E1, np.ones(4) / 2.0], np.ones(2))
+
+
+def _near_parallel(rng, m, d, angle):
+    """m unit vectors at ``angle`` from one center, so pairwise angles are about angle."""
+    center = _random_unit(rng, d)
+    pts = np.empty((m, d))
+    for i in range(m):
+        t = rng.standard_normal(d)
+        t -= np.dot(t, center) * center
+        pts[i] = np.cos(angle) * center + np.sin(angle) * (t / np.linalg.norm(t))
+    return pts
+
+
+def _accurate_tangent_mean_norm(x, pts, w):
+    """Weighted tangent-mean norm with angles from atan2, accurate at tiny angles."""
+    total = np.zeros_like(x)
+    for w_i, u in zip(w / w.sum(), pts):
+        residual = u - np.dot(u, x) * x
+        r = np.linalg.norm(residual)
+        if r > 0.0:
+            total += w_i * (np.arctan2(r, np.dot(u, x)) / r) * residual
+    return float(np.linalg.norm(total))
+
+
+class TestKarcherDifferential:
+    """The Gram-coefficient solver against the n-space iteration in ``oracles``."""
+
+    @staticmethod
+    def _assert_agree(pts, w, cfg):
+        res = karcher_mean(pts, w, cfg)
+        mean, iterations, _, converged = karcher_direct(pts, w, tol=cfg.tol, max_iter=cfg.max_iter)
+        assert np.max(np.abs(res.mean - mean)) <= 1e-12
+        assert res.iterations == iterations
+        assert res.converged == converged
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_well_spread(self, m):
+        rng = np.random.default_rng(300 + m)
+        for tol in (1e-6, 1e-10):
+            for _ in range(10):
+                pts = hemisphere_points(rng, m, 48)
+                w = rng.uniform(1e-3, 1.0, size=m)
+                self._assert_agree(pts, w, KarcherConfig(tol=tol))
+
+    @pytest.mark.parametrize("angle", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_nearly_parallel(self, angle):
+        rng = np.random.default_rng(int(-np.log10(angle)))
+        for m in range(2, 12):
+            pts = _near_parallel(rng, m, 48, angle)
+            w = rng.uniform(1e-3, 1.0, size=m)
+            self._assert_agree(pts, w, KarcherConfig())
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_exact_duplicates_singular_gram(self, m):
+        rng = np.random.default_rng(400 + m)
+        for _ in range(10):
+            distinct = hemisphere_points(rng, max(1, m // 2), 48)
+            pts = distinct[rng.integers(0, len(distinct), size=m)]
+            w = rng.uniform(1e-3, 1.0, size=m)
+            self._assert_agree(pts, w, KarcherConfig(tol=1e-10))
+
+    def test_nearly_parallel_converges_at_tight_tol(self):
+        # arccos loses half the digits of tiny angles; theta/sin(theta) does not care
+        rng = np.random.default_rng(31)
+        for angle in (1e-4, 1e-6, 1e-8, 1e-9):
+            for m in (3, 7, 11):
+                pts = _near_parallel(rng, m, 48, angle)
+                w = rng.uniform(1e-3, 1.0, size=m)
+                res = karcher_mean(pts, w, KarcherConfig(tol=1e-12))
+                assert res.converged
+                assert _accurate_tangent_mean_norm(res.mean, pts, w) < 1e-12
 
 
 class TestKarcherConfig:
