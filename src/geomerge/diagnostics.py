@@ -42,6 +42,8 @@ class ActivationMatrix:
             raise ValueError(f"layer {self.label!r}: activations must be 2-D")
         if self.samples.shape[0] < 2:
             raise ValueError(f"layer {self.label!r}: need at least 2 samples")
+        if self.samples.shape[1] == 0:
+            raise ValueError(f"layer {self.label!r}: need at least 1 feature")
         if not np.isfinite(self.samples).all():
             raise NonFiniteError(f"layer {self.label!r}: activations contain NaN/Inf")
 
@@ -74,17 +76,28 @@ def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of the feature covariance of row-centered data.
 
     Uses the unbiased (n-1) normalization; tiny negative eigenvalues from the
-    symmetric eigensolve are clamped to zero.
+    symmetric eigensolve are clamped to zero.  With C the centered n x d
+    matrix, the eigensolve runs on the smaller of C C^T and C^T C (divided by
+    n-1): both have the same nonzero eigenvalues, so a wide matrix costs
+    O(n^2 d + n^3) rather than O(n d^2 + d^3).  The result is always
+    zero-padded to length d, so the rank measures (and the d * eps threshold
+    of :func:`numerical_rank`) see the same spectrum either way.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("covariance_spectrum expects an n x d matrix with n >= 2")
     if not np.isfinite(x).all():
         raise NonFiniteError("covariance_spectrum input contains NaN/Inf")
+    n, d = x.shape
     centered = x - x.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / (x.shape[0] - 1)
-    eig = np.linalg.eigvalsh(cov)
-    return np.clip(eig, 0.0, None)[::-1]
+    if n < d:
+        gram = centered @ centered.T / (n - 1)
+    else:
+        gram = centered.T @ centered / (n - 1)
+    eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1]
+    spectrum = np.zeros(d)
+    spectrum[: eig.size] = eig
+    return spectrum
 
 
 def mean_activation_variance(samples: np.ndarray) -> float:

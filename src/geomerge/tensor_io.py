@@ -373,17 +373,21 @@ def write_checkpoint(
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    # A fresh random name per call (128 bits, as in a uuid4), so concurrent
+    # writers of one output never share (or delete) each other's temporary
+    # file.  Mode 0o666 less the umask is what open(path, "wb") would give.
+    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with open(tmp, "wb") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(len(header_bytes).to_bytes(_HEADER_PREFIX_LEN, "little"))
             fh.write(header_bytes)
             for raw in buffers:
                 fh.write(raw)
         os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

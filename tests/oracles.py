@@ -168,3 +168,20 @@ def karcher_direct(
             x = np.cos(step) * x + np.sin(step) * (v / residual)
             x = x / np.linalg.norm(x)
     raise AssertionError("unreachable")
+
+
+# -- d x d covariance eigensolve (reference spectrum) --------------------------
+
+
+def covariance_spectrum_direct(samples: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of the full d x d unbiased feature covariance.
+
+    Builds C^T C / (n-1) from the row-centered n x d matrix C and eigensolves
+    it whatever the shape, at O(n d^2 + d^3); tiny negative eigenvalues are
+    clamped to zero.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    centered = x - x.mean(axis=0, keepdims=True)
+    cov = centered.T @ centered / (x.shape[0] - 1)
+    eig = np.linalg.eigvalsh(cov)
+    return np.clip(eig, 0.0, None)[::-1]

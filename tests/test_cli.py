@@ -7,8 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from geomerge import diagnostics
 from geomerge.cli import main
 from geomerge.tensor_io import TensorRecord, read_checkpoint, write_checkpoint
+from oracles import covariance_spectrum_direct
 
 
 @pytest.fixture
@@ -238,6 +240,48 @@ class TestDiagnose:
                    "--out", str(tmp_path / "o.json")])
         assert rc == 1
         assert "nonlinearty" in capsys.readouterr().err
+
+    def test_zero_feature_layer_exit_3_names_layer(self, tmp_path, capsys):
+        write_checkpoint(
+            tmp_path / "acts.st",
+            [TensorRecord("layer_0", np.ones((4, 3))), TensorRecord("layer_1", np.ones((4, 0)))],
+            "f64",
+        )
+        rc = main(["diagnose", str(tmp_path / "acts.st"), "--out", str(tmp_path / "o.json")])
+        assert rc == 3
+        assert "'layer_1'" in capsys.readouterr().err
+
+    def test_toy_forward_wide_layers_match_direct_spectrum(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(93)
+        write_checkpoint(
+            tmp_path / "weights.st",
+            [
+                TensorRecord("fc1.weight", rng.standard_normal((48, 64)) / 7.0),
+                TensorRecord("fc2.weight", rng.standard_normal((64, 64)) / 8.0),
+            ],
+        )
+        spec = tmp_path / "toy.yaml"
+        spec.write_text(
+            "nonlinearity: tanh\nsamples: 24\nseed: 3\nlayers: [fc1.weight, fc2.weight]\n"
+        )
+        args = ["diagnose", str(tmp_path / "weights.st"), "--toy-forward", str(spec), "--draws", "6"]
+        assert main(args + ["--out", str(tmp_path / "gram.json")]) == 0
+        monkeypatch.setattr(diagnostics, "covariance_spectrum", covariance_spectrum_direct)
+        assert main(args + ["--out", str(tmp_path / "direct.json")]) == 0
+        got = json.loads((tmp_path / "gram.json").read_text())
+        want = json.loads((tmp_path / "direct.json").read_text())
+        assert [l["features"] for l in got["layers"]] == [48, 64, 64]
+        for got_layer, want_layer in zip(got["layers"], want["layers"]):
+            assert got_layer["metrics"].keys() == want_layer["metrics"].keys()
+            for metric, want_entry in want_layer["metrics"].items():
+                got_entry = got_layer["metrics"][metric]
+                if metric == "num_rank":
+                    assert got_entry == want_entry
+                else:
+                    for key in ("mean", "std"):
+                        np.testing.assert_allclose(
+                            got_entry[key], want_entry[key], rtol=1e-12, atol=0.0
+                        )
 
 
 class TestInspect:

@@ -7,6 +7,7 @@ import pytest
 
 from geomerge.diagnostics import (
     ActivationMatrix,
+    SpectralStats,
     bootstrap_stats,
     covariance_spectrum,
     diagnostics_report,
@@ -22,6 +23,7 @@ from geomerge.diagnostics import (
 from geomerge.errors import AlignmentError
 from geomerge.merge_methods import merge_karcher, merge_lerp
 from geomerge.tensor_io import Checkpoint, TensorRecord
+from oracles import covariance_spectrum_direct
 
 
 def _cov_by_hand(x: np.ndarray) -> np.ndarray:
@@ -72,6 +74,66 @@ class TestCovarianceSpectrum:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             covariance_spectrum(np.ones((1, 3)))
+
+
+def _oracle_stats(x: np.ndarray) -> SpectralStats:
+    lam = covariance_spectrum_direct(x)
+    return SpectralStats(
+        mean_variance=mean_activation_variance(x),
+        eff_rank=effective_rank(lam),
+        stable_rank=stable_rank(lam),
+        participation_ratio=participation_ratio(lam),
+        num_rank=numerical_rank(lam),
+    )
+
+
+def _assert_stats_match(got: SpectralStats, want: SpectralStats) -> None:
+    assert got.num_rank == want.num_rank
+    for metric in ("mean_variance", "eff_rank", "stable_rank", "participation_ratio"):
+        np.testing.assert_allclose(
+            getattr(got, metric), getattr(want, metric), rtol=1e-12, atol=0.0, err_msg=metric
+        )
+
+
+class TestSpectrumAgainstDirectOracle:
+    """The smaller-Gram eigensolve against the d x d covariance in ``oracles``."""
+
+    def _check(self, x: np.ndarray) -> None:
+        n, d = x.shape
+        lam = covariance_spectrum(x)
+        assert lam.shape == (d,)
+        assert np.all(lam[min(n, d):] == 0.0)
+        if n >= d:
+            np.testing.assert_array_equal(lam, covariance_spectrum_direct(x))
+            assert spectral_stats(x) == _oracle_stats(x)
+        else:
+            _assert_stats_match(spectral_stats(x), _oracle_stats(x))
+
+    @pytest.mark.parametrize("n,d", [(2, 7), (9, 40), (64, 300), (24, 24), (40, 9), (300, 64)])
+    def test_gaussian_shapes(self, n, d):
+        rng = np.random.default_rng(1000 + n * d)
+        self._check(rng.standard_normal((n, d)) * np.linspace(0.2, 3.0, d))
+
+    @pytest.mark.parametrize("n,d", [(32, 128), (128, 32)])
+    def test_bootstrap_resample_with_duplicate_rows(self, n, d):
+        rng = np.random.default_rng(77)
+        x = np.tanh(rng.standard_normal((n, d)) @ rng.standard_normal((d, d)) / np.sqrt(d))
+        resampled = x[rng.integers(0, n, size=n)]
+        assert len(np.unique(resampled, axis=0)) < n
+        self._check(resampled)
+
+    @pytest.mark.parametrize("n,d", [(12, 50), (50, 12)])
+    def test_constant_columns(self, n, d):
+        rng = np.random.default_rng(78)
+        x = rng.standard_normal((n, d))
+        x[:, ::3] = 3.0
+        self._check(x)
+
+    @pytest.mark.parametrize("n,d", [(6, 20), (20, 6)])
+    def test_all_identical_rows(self, n, d):
+        x = np.tile(np.arange(d, dtype=np.float64) - 2.0, (n, 1))
+        self._check(x)
+        assert not covariance_spectrum(x).any()
 
 
 class TestMeanActivationVariance:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -210,6 +211,58 @@ class TestErrors:
         recs = [TensorRecord("a", np.ones(1)), TensorRecord("a", np.zeros(1))]
         with pytest.raises(ValueError, match="duplicate"):
             write_checkpoint(tmp_path / "d.st", recs)
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        path = tmp_path / "out.st"
+        payloads = [np.full(65536, 1.0), np.full(65536, 2.0)]
+
+        def write_many(data):
+            for _ in range(50):
+                write_checkpoint(path, [TensorRecord("w", data)], output_dtype="f64")
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(write_many, data) for data in payloads]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        expected = []
+        for i, data in enumerate(payloads):
+            ref = tmp_path / f"ref{i}.st"
+            write_checkpoint(ref, [TensorRecord("w", data)], output_dtype="f64")
+            expected.append(ref.read_bytes())
+        assert path.read_bytes() in expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.st", "ref0.st", "ref1.st"]
+
+    def test_failed_write_leaves_no_temp_sibling(self, tmp_path, monkeypatch):
+        path = tmp_path / "o.st"
+        with pytest.raises(DTypeOverflowError):
+            write_checkpoint(path, [TensorRecord("big", np.array([1e40]))], output_dtype="f16")
+        assert list(tmp_path.iterdir()) == []
+
+        write_checkpoint(path, [TensorRecord("a", np.ones(3))])
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tio.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_checkpoint(path, [TensorRecord("a", np.zeros(3))])
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+
+    def test_output_mode_follows_umask_like_open(self, tmp_path):
+        ref = tmp_path / "ref"
+        ref.write_bytes(b"")
+        path = tmp_path / "o.st"
+        write_checkpoint(path, [TensorRecord("a", np.ones(2))])
+        assert path.stat().st_mode == ref.stat().st_mode
 
 
 class TestLaziness:
