@@ -128,6 +128,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     recipe = load_recipe(args.recipe, overrides=args.overrides)
     precision = args.precision or recipe.precision
     with contextlib.ExitStack() as stack:

@@ -57,28 +57,57 @@ def task_vector(expert: np.ndarray, base: np.ndarray) -> np.ndarray:
     return e - b
 
 
-def trim_topk(delta: np.ndarray, density: float) -> np.ndarray:
+def trim_topk(
+    delta: np.ndarray, density: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Keep the ceil(density*n) largest-magnitude entries, zero the rest.
 
-    Ties at the threshold keep the lower index first (stable order), so the
-    result is deterministic.
+    The k-th largest magnitude is found by selection (``np.partition`` over
+    the nonzero magnitudes only), not by a full sort.  Every entry above
+    that threshold is kept; entries equal to it are kept lowest index first
+    until k are kept, which is exactly the set a stable descending sort of
+    the magnitudes keeps.  Zeros (either sign) rank below every nonzero
+    magnitude and NaN below zero, each lowest index first.  Kept entries
+    keep their bits (``-0.0`` and NaN payloads included); the rest become
+    ``+0.0``.
+
+    ``out``, if given, is a float64 vector of the same length that receives
+    the result (a row of a preallocated stack); the result is returned.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
     d = np.asarray(delta, dtype=np.float64).reshape(-1)
     n = d.size
+    if out is None:
+        out = d.copy()
+    else:
+        out[...] = d
     if n == 0 or density == 1.0:
-        return d.copy()
+        return out
     k = int(np.ceil(density * n))
-    order = np.argsort(-np.abs(d), kind="stable")
-    out = np.zeros_like(d)
-    keep = order[:k]
-    out[keep] = d[keep]
+    mags = np.abs(d)
+    keep = mags > 0.0  # NaN compares false: NaN ranks below zero
+    nonzero = int(np.count_nonzero(keep))
+    if k < nonzero:
+        values = mags[keep]
+        values.partition(nonzero - k)
+        threshold = values[nonzero - k]
+        np.greater(mags, threshold, out=keep)
+        keep[np.flatnonzero(mags == threshold)[: k - int(np.count_nonzero(keep))]] = True
+    elif k > nonzero:
+        zeros = np.flatnonzero(mags == 0.0)[: k - nonzero]
+        keep[zeros] = True
+        keep[np.flatnonzero(np.isnan(mags))[: k - nonzero - zeros.size]] = True
+    out[~keep] = 0.0
     return out
 
 
-def elect_signs(deltas: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Per-coordinate sign of the weighted delta sum; zero sums become +1."""
+def elect_signs(deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-coordinate sign of the weighted delta sum; zero sums become +1.
+
+    ``deltas`` is a sequence of equal-length vectors or an m x n float64
+    stack, which is used as is, not copied.
+    """
     mat = _stack(deltas)
     w = np.asarray(weights, dtype=np.float64)
     totals = w @ mat
@@ -86,24 +115,40 @@ def elect_signs(deltas: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray
 
 
 def disjoint_merge(
-    deltas: Sequence[np.ndarray], weights: np.ndarray, signs: np.ndarray
+    deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray, signs: np.ndarray
 ) -> np.ndarray:
     """Weighted mean over the nonzero entries agreeing with the elected sign.
 
     Weights are renormalized over the agreeing subset per coordinate; a
-    coordinate with no agreeing model is 0.
+    coordinate with no agreeing model is 0.  ``deltas`` is a sequence of
+    equal-length vectors or an m x n float64 stack, used as is.  The
+    numerator and denominator are accumulated one row at a time, in row
+    order from +0.0, in two length-n buffers; no m x n temporary is built.
     """
     mat = _stack(deltas)
     w = np.asarray(weights, dtype=np.float64)
     s = np.asarray(signs, dtype=np.float64)
-    if s.shape != (mat.shape[1],):
+    m, n = mat.shape
+    if w.shape != (m,):
+        raise ValueError(f"expected {m} weights, got shape {w.shape}")
+    if s.shape != (n,):
         raise ValueError("signs length does not match delta length")
-    agree = (mat * s[None, :]) > 0.0
-    weighted = w[:, None] * agree
-    denom = weighted.sum(axis=0)
-    numer = (weighted * mat).sum(axis=0)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    return np.where(denom > 0.0, numer / safe, 0.0)
+    numer = np.zeros(n)
+    denom = np.zeros(n)
+    product = np.empty(n)
+    weighted = np.empty(n)
+    agree = np.empty(n, dtype=bool)
+    for w_i, row in zip(w, mat):
+        np.multiply(row, s, out=product)
+        np.greater(product, 0.0, out=agree)
+        np.multiply(agree, w_i, out=weighted)
+        denom += weighted
+        np.multiply(weighted, row, out=product)
+        numer += product
+    live = denom > 0.0
+    np.divide(numer, denom, out=numer, where=live)
+    numer[~live] = 0.0
+    return numer
 
 
 def dare_drop(delta: np.ndarray, drop_rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -152,7 +197,11 @@ def _drop_rescale(
     return np.where(keep, d * scale, 0.0)
 
 
-def _stack(deltas: Sequence[np.ndarray]) -> np.ndarray:
+def _stack(deltas: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    if isinstance(deltas, np.ndarray) and deltas.ndim == 2 and deltas.dtype == np.float64:
+        if deltas.shape[0] == 0:
+            raise ValueError("need at least one delta")
+        return deltas
     if len(deltas) == 0:
         raise ValueError("need at least one delta")
     rows = [np.asarray(d, dtype=np.float64).reshape(-1) for d in deltas]

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -265,9 +265,7 @@ def merge_ties(
     """Trim small delta entries, elect per-coordinate signs, average agreers."""
     b = _as_f64(base)
     w = _norm_weights(weights, len(experts))
-    trimmed = [trim_topk(task_vector(e, b), density) for e in experts]
-    signs = elect_signs(trimmed, w)
-    return b + disjoint_merge(trimmed, w, signs)
+    return b + _ties_combine((task_vector(e, b) for e in experts), w, b.size, density)
 
 
 def merge_dare(
@@ -318,10 +316,19 @@ def _combine_deltas(
     if combine == "lerp":
         return weighted_sum(deltas, w)
     if combine == "ties":
-        trimmed = [trim_topk(d, density) for d in deltas]
-        signs = elect_signs(trimmed, w)
-        return disjoint_merge(trimmed, w, signs)
+        return _ties_combine(deltas, w, deltas[0].size, density)
     raise ConfigError(f"unknown combine mode {combine!r}; expected 'lerp' or 'ties'")
+
+
+def _ties_combine(
+    deltas: Iterable[np.ndarray], w: np.ndarray, n: int, density: float
+) -> np.ndarray:
+    """Trim each length-n delta straight into one m x n stack (m = len(w)),
+    then elect signs and take the disjoint mean over that same stack."""
+    stack = np.empty((w.size, n), dtype=np.float64)
+    for row, delta in zip(stack, deltas):
+        trim_topk(delta, density, out=row)
+    return disjoint_merge(stack, w, elect_signs(stack, w))
 
 
 def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.ndarray:
@@ -370,6 +377,10 @@ class MergeJob:
     clamp_overflow: bool = False
     threads: int | None = None
     metadata: dict[str, str] | None = None
+
+    def __post_init__(self) -> None:
+        if self.threads is not None and self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass

@@ -8,6 +8,7 @@ constraints are enforced at parse time with actionable messages.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -200,7 +201,12 @@ def _validate_params(node: Any, source: str) -> dict[str, Any]:
         v = params[key]
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ConfigError(f"{source}: parameters.{key} must be a number, got {v!r}")
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
+        if not math.isfinite(v):
+            raise ConfigError(f"{source}: parameters.{key} must be a finite number, got {v}")
         if lo is not None and (v < lo or (lo_open and v == lo)):
             raise ConfigError(f"{source}: parameters.{key}={v} out of range")
         if hi is not None and (v > hi or (hi_open and v == hi)):

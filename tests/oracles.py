@@ -185,3 +185,45 @@ def covariance_spectrum_direct(samples: np.ndarray) -> np.ndarray:
     cov = centered.T @ centered / (x.shape[0] - 1)
     eig = np.linalg.eigvalsh(cov)
     return np.clip(eig, 0.0, None)[::-1]
+
+
+# -- full-sort TIES trim and m x n sign election (reference combine) ----------
+
+
+def trim_topk_direct(delta: np.ndarray, density: float) -> np.ndarray:
+    """Keep the ceil(density*n) largest magnitudes by a full stable argsort.
+
+    Sorting -|delta| stably keeps the lower index first among equal
+    magnitudes, ranks zeros of either sign below every nonzero magnitude and
+    NaN below zero.  Kept entries keep their bits; the rest become +0.0.
+    """
+    d = np.asarray(delta, dtype=np.float64).reshape(-1)
+    n = d.size
+    if n == 0 or density == 1.0:
+        return d.copy()
+    k = int(np.ceil(density * n))
+    order = np.argsort(-np.abs(d), kind="stable")
+    out = np.zeros_like(d)
+    keep = order[:k]
+    out[keep] = d[keep]
+    return out
+
+
+def ties_combine_direct(deltas: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Sign election plus disjoint mean over a freshly stacked m x n matrix.
+
+    The elected sign is that of the weighted column sum (zero counts as +).
+    Each coordinate averages, with the weights renormalized over them, the
+    entries whose sign agrees with it; a coordinate with no agreeing entry
+    is 0.  Built from m x n ``agree``/``weighted`` temporaries, with
+    column sums taken by numpy's axis-0 reduction.
+    """
+    mat = np.vstack([np.asarray(d, dtype=np.float64).reshape(-1) for d in deltas])
+    w = np.asarray(weights, dtype=np.float64)
+    signs = np.where(w @ mat < 0.0, -1.0, 1.0)
+    agree = (mat * signs[None, :]) > 0.0
+    weighted = w[:, None] * agree
+    denom = weighted.sum(axis=0)
+    numer = (weighted * mat).sum(axis=0)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    return np.where(denom > 0.0, numer / safe, 0.0)
