@@ -153,12 +153,10 @@ def disjoint_merge(
 
 def dare_drop(delta: np.ndarray, drop_rate: float, rng: np.random.Generator) -> np.ndarray:
     """Zero each coordinate independently with probability ``drop_rate`` and
-    rescale survivors by 1/(1-drop_rate), preserving the delta in expectation.
+    rescale survivors by 1/(1-drop_rate), preserving the delta in expectation:
+    :func:`della_drop` with ``window=0``.
     """
-    if not 0.0 <= drop_rate < 1.0:
-        raise ValueError(f"drop_rate must be in [0, 1), got {drop_rate}")
-    d = np.asarray(delta, dtype=np.float64).reshape(-1)
-    return _drop_rescale(d, drop_rate, rng)
+    return della_drop(delta, SparsifySpec(drop_rate=drop_rate, window=0.0), rng)
 
 
 def della_drop(delta: np.ndarray, spec: SparsifySpec, rng: np.random.Generator) -> np.ndarray:
@@ -167,34 +165,29 @@ def della_drop(delta: np.ndarray, spec: SparsifySpec, rng: np.random.Generator) 
     Coordinates ranked by |delta| ascending get drop probabilities falling
     linearly from ``drop_rate + window`` (smallest magnitude) to
     ``drop_rate - window`` (largest); survivors are rescaled per coordinate.
-    With ``window=0`` this consumes randomness identically to
-    :func:`dare_drop` and produces bit-identical output.
+    With ``window=0`` every coordinate has the scalar rate ``drop_rate`` and
+    no ranking is done; that is DARE's drop.
     """
     d = np.asarray(delta, dtype=np.float64).reshape(-1)
     n = d.size
     if n == 0:
         return d.copy()
-    hi = spec.drop_rate + spec.window
-    lo = spec.drop_rate - spec.window
-    if n == 1:
-        frac = np.array([0.5])
+    if spec.window == 0.0:
+        p: "float | np.ndarray" = spec.drop_rate
     else:
-        ranks = np.empty(n, dtype=np.float64)
-        ranks[np.argsort(np.abs(d), kind="stable")] = np.arange(n, dtype=np.float64)
-        frac = ranks / (n - 1)
-    p = hi - (hi - lo) * frac
-    return _drop_rescale(d, p, rng)
-
-
-def _drop_rescale(
-    d: np.ndarray, p: "float | np.ndarray", rng: np.random.Generator
-) -> np.ndarray:
-    """Shared drop/rescale core so scalar and per-coordinate rates match
-    bit-for-bit under the same stream."""
-    draws = rng.random(d.size)
-    keep = draws >= p
-    scale = 1.0 / (1.0 - p)
-    return np.where(keep, d * scale, 0.0)
+        hi = spec.drop_rate + spec.window
+        lo = spec.drop_rate - spec.window
+        if n == 1:
+            frac = np.array([0.5])
+        else:
+            ranks = np.empty(n, dtype=np.float64)
+            ranks[np.argsort(np.abs(d), kind="stable")] = np.arange(n, dtype=np.float64)
+            frac = ranks / (n - 1)
+        p = hi - (hi - lo) * frac
+    draws = rng.random(n)
+    out = d * (1.0 / (1.0 - p))
+    out[draws < p] = 0.0
+    return out
 
 
 def _stack(deltas: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:

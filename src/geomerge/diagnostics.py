@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError, NonFiniteError
 from .rng import keyed_stream
-from .sphere import DEGENERATE_NORM
+from .sphere import DEGENERATE_NORM, normalized_weights
 from .tensor_io import Checkpoint
 
 METRIC_NAMES = ("mean_variance", "eff_rank", "stable_rank", "participation_ratio", "num_rank")
@@ -316,13 +316,7 @@ def weight_norm_report(
     m = len(sources)
     if m == 0:
         raise ValueError("weight_norm_report requires at least one source")
-    if weights is None:
-        alphas = np.full(m, 1.0 / m)
-    else:
-        alphas = np.asarray(weights, dtype=np.float64)
-        if alphas.shape != (m,) or (alphas < 0).any() or float(alphas.sum()) <= 0:
-            raise ValueError("weights must be non-negative and not all zero")
-        alphas = alphas / float(alphas.sum())
+    alphas = np.full(m, 1.0 / m) if weights is None else normalized_weights(weights, m)
 
     rows: list[dict[str, Any]] = []
     for name in merged.names():

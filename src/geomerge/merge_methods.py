@@ -16,19 +16,20 @@ a straight weighted average does.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .delta_ops import (
     SparsifySpec,
-    dare_drop,
+    dare_drop,  # noqa: F401  (not called here; kept so it can be traced under this module)
     della_drop,
     disjoint_merge,
     elect_signs,
@@ -42,46 +43,60 @@ from .sphere import (
     KarcherConfig,
     karcher_mean,
     normalize_to_sphere,
+    normalized_weights,
     slerp as unit_slerp,
 )
 from .tensor_io import CheckpointHandle, TensorRecord, validate_aligned, write_checkpoint
 
 logger = logging.getLogger(__name__)
 
-MERGE_KINDS = (
-    "karcher",
-    "lerp",
-    "slerp",
-    "multislerp",
-    "task_arithmetic",
-    "ties",
-    "dare_lerp",
-    "dare_ties",
-    "della_lerp",
-    "della_ties",
-    "model_stock",
-)
 
-_BASE_KINDS = {
-    "task_arithmetic",
-    "ties",
-    "dare_lerp",
-    "dare_ties",
-    "della_lerp",
-    "della_ties",
-    "model_stock",
-}
+class Param(NamedTuple):
+    """A method parameter's default and its check, which returns the
+    normalized value or raises ConfigError."""
 
-DEFAULT_PARAMS: dict[str, Any] = {
-    "t": 0.5,
-    "density": 0.5,
-    "drop_rate": 0.5,
-    "window": 0.1,
-    "lambda": 1.0,
-    "eta": 1.0,
-    "tol": 1e-6,
-    "max_iter": 50,
-    "seed": 0,
+    default: Any
+    check: Callable[[str, Any], Any]
+
+
+def _number(
+    lo: float = -math.inf, hi: float = math.inf, lo_open: bool = False, hi_open: bool = False
+) -> Callable[[str, Any], float]:
+    def check(key: str, v: Any) -> float:
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ConfigError(f"parameters.{key} must be a number, got {v!r}")
+        try:
+            v = float(v)
+        except OverflowError:  # an int beyond the float range
+            v = math.inf
+        if not math.isfinite(v):
+            raise ConfigError(f"parameters.{key} must be a finite number, got {v}")
+        if v < lo or v > hi or (lo_open and v == lo) or (hi_open and v == hi):
+            raise ConfigError(f"parameters.{key}={v} out of range")
+        return v
+
+    return check
+
+
+def _integer(what: str, ok: Callable[[int], bool]) -> Callable[[str, Any], int]:
+    def check(key: str, v: Any) -> int:
+        if not isinstance(v, int) or isinstance(v, bool) or not ok(v):
+            raise ConfigError(f"parameters.{key} must be {what}")
+        return v
+
+    return check
+
+
+PARAMS: dict[str, Param] = {
+    "t": Param(0.5, _number(0.0, 1.0)),
+    "density": Param(0.5, _number(0.0, 1.0, lo_open=True)),
+    "drop_rate": Param(0.5, _number(0.0, 1.0, hi_open=True)),
+    "window": Param(0.1, _number(0.0, 1.0, hi_open=True)),
+    "lambda": Param(1.0, _number()),
+    "eta": Param(1.0, _number(0.0, 1.0, lo_open=True)),
+    "tol": Param(1e-6, _number(0.0, lo_open=True)),
+    "max_iter": Param(50, _integer("a positive integer", lambda v: v >= 1)),
+    "seed": Param(0, _integer("an unsigned 64-bit integer", lambda v: 0 <= v < 2**64)),
 }
 
 
@@ -96,34 +111,59 @@ class SolverStats:
 
 @dataclass
 class MergeMethod:
-    """A merge rule plus its parameter bag (defaults filled on access)."""
+    """A merge rule plus its parameter bag (defaults filled on access).
+
+    ``params`` is checked and normalized against :data:`PARAMS` on
+    construction; unknown keys and out-of-range values raise ConfigError.
+    """
 
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in MERGE_KINDS:
+        if self.kind not in METHODS:
             raise ConfigError(
-                f"unknown merge method {self.kind!r}; expected one of {', '.join(MERGE_KINDS)}"
+                f"unknown merge method {self.kind!r}; expected one of {', '.join(METHODS)}"
+            )
+        unknown = set(self.params) - set(PARAMS)
+        if unknown:
+            raise ConfigError(f"parameters: unknown key {sorted(unknown)[0]!r} (typo?)")
+        self.params = {key: PARAMS[key].check(key, v) for key, v in self.params.items()}
+        # the default window counts only for the methods that read it
+        drop = self.param("drop_rate")
+        reads_window = "window" in self.params or "window" in self.spec.reads
+        window = self.param("window") if reads_window else 0.0
+        if drop - window < 0 or drop + window >= 1:
+            raise ConfigError(
+                "parameters: need 0 <= drop_rate - window and "
+                f"drop_rate + window < 1 (got drop_rate={drop}, window={window})"
             )
 
     def param(self, name: str) -> Any:
-        return self.params.get(name, DEFAULT_PARAMS[name])
+        return self.params.get(name, PARAMS[name].default)
+
+    @property
+    def spec(self) -> MethodSpec:
+        return METHODS[self.kind]
 
     @property
     def needs_base(self) -> bool:
-        return self.kind in _BASE_KINDS
+        return self.spec.needs_base
 
     def validate_sources(self, n_sources: int, has_base: bool) -> None:
+        spec = self.spec
         if n_sources < 1:
             raise ConfigError("merge requires at least one source model")
-        if self.kind == "slerp" and n_sources != 2:
-            raise ConfigError(f"slerp requires exactly 2 models, got {n_sources}")
-        if self.kind == "multislerp" and n_sources < 2:
-            raise ConfigError(f"multislerp requires at least 2 models, got {n_sources}")
-        if self.kind == "model_stock" and n_sources < 2:
-            raise ConfigError(f"model_stock requires at least 2 expert models, got {n_sources}")
-        if self.needs_base and not has_base:
+        if spec.min_sources == spec.max_sources != n_sources:
+            raise ConfigError(
+                f"{self.kind} requires exactly {spec.min_sources} models, got {n_sources}"
+            )
+        if n_sources < spec.min_sources:
+            experts = "expert models" if spec.needs_base else "models"
+            raise ConfigError(
+                f"{self.kind} requires at least {spec.min_sources} {experts}, got {n_sources}"
+            )
+        if spec.needs_base and not has_base:
             raise ConfigError(f"{self.kind} requires a base model")
 
 
@@ -131,18 +171,13 @@ def _as_f64(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(-1)
 
 
-def _norm_weights(weights: Sequence[float], count: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (count,):
-        raise ValueError(f"expected {count} weights, got shape {w.shape}")
-    if (w < 0).any() or float(w.sum()) <= 0.0:
-        raise ValueError("weights must be non-negative and not all zero")
-    return w / float(w.sum())
+def weighted_sum(vectors: Iterable[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Fixed-order float64 weighted sum (deterministic across thread counts).
 
-
-def weighted_sum(vectors: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Fixed-order float64 weighted sum (deterministic across thread counts)."""
-    acc = np.zeros(_as_f64(vectors[0]).size, dtype=np.float64)
+    The sum starts from +0.0, as a zero vector would; ``vectors`` may be a
+    generator, so only one of them need be held at a time.
+    """
+    acc: Any = 0.0
     for w_i, vec in zip(weights, vectors):
         acc += w_i * _as_f64(vec)
     return acc
@@ -172,7 +207,7 @@ def _row_norms(stack: np.ndarray) -> np.ndarray:
 
 def merge_lerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
     """Weighted Euclidean average."""
-    w = _norm_weights(weights, len(tensors))
+    w = normalized_weights(weights, len(tensors))
     return weighted_sum(tensors, w)
 
 
@@ -201,7 +236,7 @@ def merge_multislerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) ->
     """
     if len(tensors) < 2:
         raise ValueError("multislerp requires at least 2 tensors")
-    w = _norm_weights(weights, len(tensors))
+    w = normalized_weights(weights, len(tensors))
     stack = _stack_rows(tensors)
     if _rows_equal(stack):
         return stack[0].copy()
@@ -230,7 +265,7 @@ def merge_karcher(
     Euclidean mean is returned.  The merged direction is rescaled by the
     weighted mean of all source norms.
     """
-    w = _norm_weights(weights, len(tensors))
+    w = normalized_weights(weights, len(tensors))
     stack = _stack_rows(tensors)
     if _rows_equal(stack):
         return stack[0].copy(), SolverStats(0, 0.0, True)
@@ -251,7 +286,7 @@ def merge_task_arithmetic(
 ) -> np.ndarray:
     """base + scaling * weighted mean of expert deltas."""
     b = _as_f64(base)
-    w = _norm_weights(weights, len(experts))
+    w = normalized_weights(weights, len(experts))
     deltas = [task_vector(e, b) for e in experts]
     return b + scaling * weighted_sum(deltas, w)
 
@@ -264,7 +299,7 @@ def merge_ties(
 ) -> np.ndarray:
     """Trim small delta entries, elect per-coordinate signs, average agreers."""
     b = _as_f64(base)
-    w = _norm_weights(weights, len(experts))
+    w = normalized_weights(weights, len(experts))
     return b + _ties_combine((task_vector(e, b) for e in experts), w, b.size, density)
 
 
@@ -279,15 +314,10 @@ def merge_dare(
     tensor_name: str = "",
     model_indices: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Random drop-and-rescale of each delta, then lerp or ties combination."""
-    b = _as_f64(base)
-    w = _norm_weights(weights, len(experts))
-    indices = range(len(experts)) if model_indices is None else model_indices
-    dropped = [
-        dare_drop(task_vector(e, b), drop_rate, sparsify_stream(seed, tensor_name, idx))
-        for e, idx in zip(experts, indices)
-    ]
-    return b + _combine_deltas(dropped, w, combine, density)
+    """Random drop-and-rescale of each delta, then lerp or ties combination:
+    :func:`merge_della` with ``window=0``."""
+    spec = SparsifySpec(density=density, drop_rate=drop_rate, window=0.0, seed=seed)
+    return merge_della(base, experts, weights, spec, combine, tensor_name, model_indices)
 
 
 def merge_della(
@@ -299,25 +329,23 @@ def merge_della(
     tensor_name: str = "",
     model_indices: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Magnitude-aware drop-and-rescale, then lerp or ties combination."""
+    """Magnitude-aware drop-and-rescale, then lerp or ties combination.
+
+    Each dropped delta goes straight into the combination as it is made, so
+    no list of all m dropped deltas is held.
+    """
+    if combine not in ("lerp", "ties"):
+        raise ConfigError(f"unknown combine mode {combine!r}; expected 'lerp' or 'ties'")
     b = _as_f64(base)
-    w = _norm_weights(weights, len(experts))
+    w = normalized_weights(weights, len(experts))
     indices = range(len(experts)) if model_indices is None else model_indices
-    dropped = [
+    dropped = (
         della_drop(task_vector(e, b), spec, sparsify_stream(spec.seed, tensor_name, idx))
         for e, idx in zip(experts, indices)
-    ]
-    return b + _combine_deltas(dropped, w, combine, spec.density)
-
-
-def _combine_deltas(
-    deltas: Sequence[np.ndarray], w: np.ndarray, combine: str, density: float
-) -> np.ndarray:
-    if combine == "lerp":
-        return weighted_sum(deltas, w)
+    )
     if combine == "ties":
-        return _ties_combine(deltas, w, deltas[0].size, density)
-    raise ConfigError(f"unknown combine mode {combine!r}; expected 'lerp' or 'ties'")
+        return b + _ties_combine(dropped, w, b.size, spec.density)
+    return b + weighted_sum(dropped, w)
 
 
 def _ties_combine(
@@ -357,6 +385,96 @@ def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.nda
     t = m * c / (1.0 + (m - 1) * c)
     expert_mean = weighted_sum(experts, np.full(m, 1.0 / m))
     return t * expert_mean + (1.0 - t) * b
+
+
+# -- method registry -----------------------------------------------------------
+
+#: A rule merges one tensor: (parameter lookup, tensor name, source flats,
+#: base flat or None, normalized weights) -> merged flat, or (merged flat,
+#: SolverStats) for the barycenter solver.
+Rule = Callable[[Callable[[str], Any], str, list, Any, np.ndarray], Any]
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """What one merge method reads and needs.
+
+    ``reads`` names the parameters the rule uses; the summary reports them
+    with their effective values.  The rules look the merge functions up by
+    their module names at call time, so a wrapped or patched function is
+    the one that runs.
+    """
+
+    reads: tuple[str, ...]
+    rule: Rule
+    needs_base: bool = False
+    min_sources: int = 1
+    max_sources: int | None = None
+
+
+def _dare_rule(combine: str) -> Rule:
+    return lambda p, name, flats, base, w: merge_dare(
+        base, flats, w, p("drop_rate"), combine, p("density"), p("seed"), name
+    )
+
+
+def _della_rule(combine: str) -> Rule:
+    return lambda p, name, flats, base, w: merge_della(
+        base,
+        flats,
+        w,
+        SparsifySpec(
+            density=p("density"), drop_rate=p("drop_rate"), window=p("window"), seed=p("seed")
+        ),
+        combine,
+        name,
+    )
+
+
+METHODS: dict[str, MethodSpec] = {
+    "karcher": MethodSpec(
+        ("eta", "tol", "max_iter"),
+        lambda p, name, flats, base, w: merge_karcher(
+            flats, w, KarcherConfig(eta=p("eta"), tol=p("tol"), max_iter=p("max_iter"))
+        ),
+    ),
+    "lerp": MethodSpec((), lambda p, name, flats, base, w: merge_lerp(flats, w)),
+    "slerp": MethodSpec(
+        ("t",),
+        lambda p, name, flats, base, w: merge_slerp(flats[0], flats[1], p("t")),
+        min_sources=2,
+        max_sources=2,
+    ),
+    "multislerp": MethodSpec(
+        (), lambda p, name, flats, base, w: merge_multislerp(flats, w), min_sources=2
+    ),
+    "task_arithmetic": MethodSpec(
+        ("lambda",),
+        lambda p, name, flats, base, w: merge_task_arithmetic(base, flats, w, p("lambda")),
+        needs_base=True,
+    ),
+    "ties": MethodSpec(
+        ("density",),
+        lambda p, name, flats, base, w: merge_ties(base, flats, w, p("density")),
+        needs_base=True,
+    ),
+    "dare_lerp": MethodSpec(("drop_rate", "seed"), _dare_rule("lerp"), needs_base=True),
+    "dare_ties": MethodSpec(("drop_rate", "density", "seed"), _dare_rule("ties"), needs_base=True),
+    "della_lerp": MethodSpec(
+        ("drop_rate", "window", "seed"), _della_rule("lerp"), needs_base=True
+    ),
+    "della_ties": MethodSpec(
+        ("drop_rate", "window", "density", "seed"), _della_rule("ties"), needs_base=True
+    ),
+    "model_stock": MethodSpec(
+        (),
+        lambda p, name, flats, base, w: merge_model_stock(base, flats),
+        needs_base=True,
+        min_sources=2,
+    ),
+}
+
+MERGE_KINDS = tuple(METHODS)
 
 
 # -- streaming orchestrator --------------------------------------------------
@@ -423,89 +541,6 @@ class MergeSummary:
         }
 
 
-def _effective_params(method: MergeMethod) -> dict[str, Any]:
-    relevant = {
-        "karcher": ("eta", "tol", "max_iter"),
-        "lerp": (),
-        "slerp": ("t",),
-        "multislerp": (),
-        "task_arithmetic": ("lambda",),
-        "ties": ("density",),
-        "dare_lerp": ("drop_rate", "seed"),
-        "dare_ties": ("drop_rate", "density", "seed"),
-        "della_lerp": ("drop_rate", "window", "seed"),
-        "della_ties": ("drop_rate", "window", "density", "seed"),
-        "model_stock": (),
-    }[method.kind]
-    effective = {name: method.param(name) for name in relevant}
-    effective.update(method.params)  # echo explicit settings even when unused
-    return effective
-
-
-def _make_tensor_merger(method: MergeMethod, weights: np.ndarray):
-    """Bind the method's parameters into a (name, flats, base_flat) callable."""
-    kind = method.kind
-
-    def run(name: str, flats: list[np.ndarray], base_flat: np.ndarray | None):
-        if kind == "karcher":
-            cfg = KarcherConfig(
-                eta=float(method.param("eta")),
-                tol=float(method.param("tol")),
-                max_iter=int(method.param("max_iter")),
-            )
-            return merge_karcher(flats, weights, cfg)
-        if kind == "lerp":
-            return merge_lerp(flats, weights), None
-        if kind == "slerp":
-            return merge_slerp(flats[0], flats[1], float(method.param("t"))), None
-        if kind == "multislerp":
-            return merge_multislerp(flats, weights), None
-        if kind == "task_arithmetic":
-            return (
-                merge_task_arithmetic(base_flat, flats, weights, float(method.param("lambda"))),
-                None,
-            )
-        if kind == "ties":
-            return merge_ties(base_flat, flats, weights, float(method.param("density"))), None
-        if kind in ("dare_lerp", "dare_ties"):
-            return (
-                merge_dare(
-                    base_flat,
-                    flats,
-                    weights,
-                    float(method.param("drop_rate")),
-                    combine="ties" if kind.endswith("ties") else "lerp",
-                    density=float(method.param("density")),
-                    seed=int(method.param("seed")),
-                    tensor_name=name,
-                ),
-                None,
-            )
-        if kind in ("della_lerp", "della_ties"):
-            spec = SparsifySpec(
-                density=float(method.param("density")),
-                drop_rate=float(method.param("drop_rate")),
-                window=float(method.param("window")),
-                seed=int(method.param("seed")),
-            )
-            return (
-                merge_della(
-                    base_flat,
-                    flats,
-                    weights,
-                    spec,
-                    combine="ties" if kind.endswith("ties") else "lerp",
-                    tensor_name=name,
-                ),
-                None,
-            )
-        if kind == "model_stock":
-            return merge_model_stock(base_flat, flats), None
-        raise ConfigError(f"unknown merge method {kind!r}")
-
-    return run
-
-
 def _name_tensor(exc: Exception, name: str) -> None:
     """Put the tensor name into ``exc``'s message in place, keeping its type.
 
@@ -536,7 +571,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
     weights = (
         np.full(len(sources), 1.0 / len(sources))
         if job.weights is None
-        else _norm_weights(job.weights, len(sources))
+        else normalized_weights(job.weights, len(sources))
     )
 
     align_set: list[CheckpointHandle] = sources + ([job.base] if method.needs_base else [])
@@ -558,8 +593,6 @@ def run_merge(job: MergeJob) -> MergeSummary:
     for name in skipped:
         logger.warning("tensor %r is not mergeable; copying from the first source", name)
 
-    merger = _make_tensor_merger(method, weights)
-
     def merge_one(name: str) -> tuple[TensorRecord, TensorStats]:
         records = [h.load_tensor(name, job.precision, strict=True) for h in sources]
         flats = [rec.flat() for rec in records]
@@ -568,7 +601,8 @@ def run_merge(job: MergeJob) -> MergeSummary:
             if method.needs_base
             else None
         )
-        merged, stats = merger(name, flats, base_flat)
+        out = method.spec.rule(method.param, name, flats, base_flat, weights)
+        merged, stats = out if isinstance(out, tuple) else (out, None)
         shape = records[0].shape
         out = TensorRecord(name=name, data=merged.reshape(shape), dtype=job.out_dtype)
         norm_in = [float(np.linalg.norm(_as_f64(f))) for f in flats]
@@ -636,7 +670,8 @@ def run_merge(job: MergeJob) -> MergeSummary:
     per_tensor = [results[name][1] for name in sorted(results)]
     return MergeSummary(
         method=method.kind,
-        parameters=_effective_params(method),
+        # explicit settings are echoed even where the method does not read them
+        parameters={**{k: method.param(k) for k in method.spec.reads}, **method.params},
         tensors_merged=len(results),
         tensors_skipped=sorted(skipped_names),
         per_tensor=per_tensor,

@@ -16,12 +16,11 @@ from typing import Any
 import yaml
 
 from .errors import ConfigError
-from .merge_methods import DEFAULT_PARAMS, MERGE_KINDS, MergeMethod
+from .merge_methods import MERGE_KINDS, MergeMethod
 
 _TOP_KEYS = {"method", "models", "base_model", "parameters", "output"}
 _MODEL_KEYS = {"path", "weight"}
 _OUTPUT_KEYS = {"path", "dtype"}
-_PARAM_KEYS = set(DEFAULT_PARAMS) | {"precision", "strict"}
 _DTYPES = {"f64", "f32", "f16", "bf16"}
 _PRECISIONS = {"f32", "f64"}
 
@@ -139,13 +138,8 @@ def _validate(raw: dict[str, Any], source: str) -> MergeRecipe:
     if base_model is not None and not isinstance(base_model, str):
         raise ConfigError(f"{source}: base_model must be a path string")
 
-    params = _validate_params(raw.get("parameters") or {}, source)
-    precision = params.pop("precision", "f32")
-    strict = params.pop("strict", True)
-
+    method, precision, strict = _validate_params(kind, raw.get("parameters") or {}, source)
     out_path, out_dtype = _validate_output(raw["output"], source)
-
-    method = MergeMethod(kind=kind, params=params)
     try:
         method.validate_sources(len(models), base_model is not None)
     except ConfigError as exc:
@@ -180,71 +174,41 @@ def _validate_models(node: Any, source: str) -> list[ModelEntry]:
         weight = entry.get("weight", 1.0)
         if not isinstance(weight, (int, float)) or isinstance(weight, bool) or weight < 0:
             raise ConfigError(f"{source}: models[{i}]: weight must be a non-negative number")
-        entries.append(ModelEntry(path=Path(entry["path"]), weight=float(weight)))
-    if sum(e.weight for e in entries) <= 0:
+        try:
+            weight = float(weight)
+        except OverflowError:  # an int beyond the float range
+            weight = math.inf
+        if not math.isfinite(weight):
+            raise ConfigError(
+                f"{source}: models[{i}]: weight must be a finite number, got {weight}"
+            )
+        entries.append(ModelEntry(path=Path(entry["path"]), weight=weight))
+    total = sum(e.weight for e in entries)
+    if total <= 0:
         raise ConfigError(f"{source}: model weights must not all be zero")
+    if total == math.inf:
+        raise ConfigError(f"{source}: model weights must have a finite sum")
     return entries
 
 
-def _validate_params(node: Any, source: str) -> dict[str, Any]:
+def _validate_params(kind: str, node: Any, source: str) -> tuple[MergeMethod, str, bool]:
+    """The method with its checked parameters, the precision and strict mode."""
     if not isinstance(node, dict):
         raise ConfigError(f"{source}: parameters must be a mapping")
-    unknown = set(node) - _PARAM_KEYS
-    if unknown:
-        raise ConfigError(f"{source}: parameters: unknown key {sorted(unknown)[0]!r} (typo?)")
     params = dict(node)
-
-    def number(key: str, lo: float | None = None, hi: float | None = None,
-               lo_open: bool = False, hi_open: bool = False) -> None:
-        if key not in params:
-            return
-        v = params[key]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{source}: parameters.{key} must be a number, got {v!r}")
-        try:
-            v = float(v)
-        except OverflowError:  # an int beyond the float range
-            v = math.inf
-        if not math.isfinite(v):
-            raise ConfigError(f"{source}: parameters.{key} must be a finite number, got {v}")
-        if lo is not None and (v < lo or (lo_open and v == lo)):
-            raise ConfigError(f"{source}: parameters.{key}={v} out of range")
-        if hi is not None and (v > hi or (hi_open and v == hi)):
-            raise ConfigError(f"{source}: parameters.{key}={v} out of range")
-        params[key] = v
-
-    number("t", lo=0.0, hi=1.0)
-    number("density", lo=0.0, hi=1.0, lo_open=True)
-    number("drop_rate", lo=0.0, hi=1.0, hi_open=True)
-    number("window", lo=0.0, hi=1.0, hi_open=True)
-    number("lambda")
-    number("eta", lo=0.0, hi=1.0, lo_open=True)
-    number("tol", lo=0.0, lo_open=True)
-
-    if "window" in params or "drop_rate" in params:
-        drop = float(params.get("drop_rate", DEFAULT_PARAMS["drop_rate"]))
-        window = float(params.get("window", DEFAULT_PARAMS["window"]))
-        if drop - window < 0 or drop + window >= 1:
-            raise ConfigError(
-                f"{source}: parameters: need 0 <= drop_rate - window and "
-                f"drop_rate + window < 1 (got drop_rate={drop}, window={window})"
-            )
-
-    if "max_iter" in params:
-        v = params["max_iter"]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ConfigError(f"{source}: parameters.max_iter must be a positive integer")
-    if "seed" in params:
-        v = params["seed"]
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < 2**64:
-            raise ConfigError(f"{source}: parameters.seed must be an unsigned 64-bit integer")
-    if "precision" in params and params["precision"] not in _PRECISIONS:
+    precision = params.pop("precision", "f32")
+    strict = params.pop("strict", True)
+    try:
+        method = MergeMethod(kind=kind, params=params)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    if precision not in _PRECISIONS:
         raise ConfigError(
             f"{source}: parameters.precision must be one of {sorted(_PRECISIONS)}"
         )
-    if "strict" in params and not isinstance(params["strict"], bool):
+    if not isinstance(strict, bool):
         raise ConfigError(f"{source}: parameters.strict must be a boolean")
-    return params
+    return method, precision, strict
 
 
 def _validate_output(node: Any, source: str) -> tuple[Path, str]:

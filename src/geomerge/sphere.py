@@ -23,6 +23,7 @@ tensors, so merges stay byte-identical for any ``--threads`` value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,17 +70,13 @@ class KarcherResult:
     converged: bool
 
 
-def _as_f64(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=np.float64)
-
-
 def normalize_to_sphere(v: np.ndarray) -> tuple[np.ndarray, float] | None:
     """Split a vector into (unit direction, norm).
 
     Returns ``None`` for degenerate (near-zero-norm) input, where no
     direction exists.  Non-finite entries raise :class:`NonFiniteError`.
     """
-    arr = _as_f64(v)
+    arr = np.asarray(v, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NonFiniteError("cannot normalize a vector with NaN/Inf entries")
     norm = float(np.linalg.norm(arr))
@@ -90,7 +87,7 @@ def normalize_to_sphere(v: np.ndarray) -> tuple[np.ndarray, float] | None:
 
 def geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Great-circle distance between unit vectors, in [0, pi]."""
-    c = float(np.dot(_as_f64(p), _as_f64(q)))
+    c = float(np.dot(np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
@@ -101,7 +98,7 @@ def sphere_log(p: np.ndarray, q: np.ndarray, antipodal_eps: float = 1e-8) -> np.
     distance.  Raises :class:`AntipodalError` when the points are antipodal
     up to ``antipodal_eps`` (the direction is then undefined).
     """
-    p64, q64 = _as_f64(p), _as_f64(q)
+    p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     c = float(np.clip(np.dot(p64, q64), -1.0, 1.0))
     if c <= -1.0 + antipodal_eps:
         raise AntipodalError("log map undefined for (near-)antipodal points")
@@ -121,7 +118,7 @@ def sphere_exp(p: np.ndarray, v: np.ndarray, tangency_tol: float = 1e-6) -> np.n
     ``v`` must be tangent at ``p``; the output is re-normalized to the
     sphere.
     """
-    p64, v64 = _as_f64(p), _as_f64(v)
+    p64, v64 = np.asarray(p, dtype=np.float64), np.asarray(v, dtype=np.float64)
     n = float(np.linalg.norm(v64))
     if n < _ZERO_ANGLE:
         return p64.copy()
@@ -136,7 +133,7 @@ def slerp(p: np.ndarray, q: np.ndarray, t: float, antipodal_eps: float = 1e-8) -
 
     Falls back to normalized linear interpolation when the angle vanishes.
     """
-    p64, q64 = _as_f64(p), _as_f64(q)
+    p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     c = float(np.clip(np.dot(p64, q64), -1.0, 1.0))
     if c <= -1.0 + antipodal_eps:
         raise AntipodalError("slerp undefined for (near-)antipodal points")
@@ -148,15 +145,19 @@ def slerp(p: np.ndarray, q: np.ndarray, t: float, antipodal_eps: float = 1e-8) -
     return (np.sin((1.0 - t) * theta) / s) * p64 + (np.sin(t * theta) / s) * q64
 
 
-def _normalized_weights(weights: np.ndarray, count: int) -> np.ndarray:
+def normalized_weights(weights: "np.ndarray | Sequence[float]", count: int) -> np.ndarray:
+    """``count`` finite, non-negative weights scaled to sum to 1."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (count,):
         raise ValueError(f"expected {count} weights, got shape {w.shape}")
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("weights must not all be zero")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    with np.errstate(over="ignore"):
+        total = float(w.sum())
+    if (w < 0).any() or total <= 0.0:
+        raise ValueError("weights must be non-negative and not all zero")
+    if total == np.inf:  # every weight would become 0
+        raise ValueError("weights must have a finite sum")
     return w / total
 
 
@@ -164,11 +165,11 @@ def frechet_objective(
     x: np.ndarray, points: "np.ndarray | list[np.ndarray]", weights: np.ndarray
 ) -> float:
     """Weighted sum of squared geodesic distances from ``x`` to ``points``."""
-    pts = np.atleast_2d(_as_f64(np.asarray(points)))
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] == 0:
         raise ValueError("frechet_objective requires at least one point")
-    w = _normalized_weights(weights, pts.shape[0])
-    dots = np.clip(pts @ _as_f64(x), -1.0, 1.0)
+    w = normalized_weights(weights, pts.shape[0])
+    dots = np.clip(pts @ np.asarray(x, dtype=np.float64), -1.0, 1.0)
     return float(np.dot(w, np.arccos(dots) ** 2))
 
 
@@ -240,7 +241,7 @@ def karcher_mean(
     m, n = pts.shape
     if m == 0:
         raise ValueError("karcher_mean requires at least one point")
-    w = _normalized_weights(weights, m)
+    w = normalized_weights(weights, m)
     gram = pts @ pts.T
     norms = np.sqrt(np.diagonal(gram))
     if (norms < DEGENERATE_NORM).any():

@@ -227,3 +227,28 @@ def ties_combine_direct(deltas: list[np.ndarray], weights: np.ndarray) -> np.nda
     numer = (weighted * mat).sum(axis=0)
     safe = np.where(denom > 0.0, denom, 1.0)
     return np.where(denom > 0.0, numer / safe, 0.0)
+
+
+# -- random drop-and-rescale (the separate DARE/DELLA paths) -------------------
+
+
+def drop_rescale_direct(
+    delta: np.ndarray, drop_rate: float, window: float, rng: np.random.Generator
+) -> np.ndarray:
+    """DELLA's drop with the per-coordinate rate always built from the stable
+    rank of |delta| (DARE when ``window`` is 0), and survivors rescaled by
+    ``np.where`` over the full length."""
+    d = np.asarray(delta, dtype=np.float64).reshape(-1)
+    n = d.size
+    if n == 0:
+        return d.copy()
+    hi, lo = drop_rate + window, drop_rate - window
+    if n == 1:
+        frac = np.array([0.5])
+    else:
+        ranks = np.empty(n)
+        ranks[np.argsort(np.abs(d), kind="stable")] = np.arange(n, dtype=np.float64)
+        frac = ranks / (n - 1)
+    p = hi - (hi - lo) * frac
+    keep = rng.random(n) >= p
+    return np.where(keep, d * (1.0 / (1.0 - p)), 0.0)
