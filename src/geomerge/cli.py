@@ -26,6 +26,7 @@ from .diagnostics import (
     diagnostics_report,
     toy_forward_collect,
 )
+from .dtypes import WORKING_PRECISIONS
 from .errors import (
     AlignmentError,
     AntipodalError,
@@ -36,7 +37,7 @@ from .errors import (
     NonFiniteError,
 )
 from .merge_methods import MergeJob, run_merge
-from .recipe import load_recipe
+from .recipe import load_recipe, load_yaml
 from .rng import keyed_stream
 from .tensor_io import open_checkpoint, read_checkpoint
 
@@ -101,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_merge.add_argument("--threads", type=int, default=None, help="worker pool size")
     p_merge.add_argument(
-        "--precision", choices=("f32", "f64"), default=None, help="working precision"
+        "--precision", choices=WORKING_PRECISIONS, default=None, help="working precision"
     )
     p_merge.set_defaults(func=cmd_merge)
 
@@ -203,7 +204,7 @@ def _activation_layers(path: Path) -> list[ActivationMatrix]:
 
 def _toy_forward_layers(weights_path: Path, spec_path: Path) -> list[ActivationMatrix]:
     try:
-        raw = yaml.safe_load(spec_path.read_text(encoding="utf-8"))
+        raw = load_yaml(spec_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise FileNotFoundError(f"toy-forward spec not found: {spec_path}") from None
     except yaml.YAMLError as exc:

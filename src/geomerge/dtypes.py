@@ -8,19 +8,30 @@ narrowing from f32 rounds to nearest-even.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DTypeOverflowError, UnsupportedDTypeError
 
-# code -> (container tag, bytes per element)
-DTYPES: dict[str, tuple[str, int]] = {
-    "f64": ("F64", 8),
-    "f32": ("F32", 4),
-    "f16": ("F16", 2),
-    "bf16": ("BF16", 2),
+
+class DType(NamedTuple):
+    tag: str  # container tag
+    size: int  # bytes per element
+    storage: str  # little-endian numpy type of the stored elements (bf16: its bits)
+
+
+DTYPES: dict[str, DType] = {
+    "f64": DType("F64", 8, "<f8"),
+    "f32": DType("F32", 4, "<f4"),
+    "f16": DType("F16", 2, "<f2"),
+    "bf16": DType("BF16", 2, "<u2"),
 }
 
-_TAG_TO_CODE = {tag: code for code, (tag, _) in DTYPES.items()}
+#: The precisions that tensors are loaded into and merged at.
+WORKING_PRECISIONS = ("f32", "f64")
+
+_TAG_TO_CODE = {d.tag: code for code, d in DTYPES.items()}
 
 # Largest finite magnitude representable in each target (clamp saturation).
 _MAX_FINITE = {
@@ -39,12 +50,12 @@ def code_from_tag(tag: str) -> str:
 
 def itemsize(code: str) -> int:
     _check_code(code)
-    return DTYPES[code][1]
+    return DTYPES[code].size
 
 
 def container_tag(code: str) -> str:
     _check_code(code)
-    return DTYPES[code][0]
+    return DTYPES[code].tag
 
 
 def _check_code(code: str) -> None:
@@ -76,11 +87,9 @@ def decode_buffer(raw: bytes, code: str, count: int) -> np.ndarray:
     f16/bf16 are widened to float32 (value-exact); f32/f64 keep their width.
     """
     _check_code(code)
+    arr = np.frombuffer(raw, dtype=DTYPES[code].storage, count=count)
     if code == "bf16":
-        bits = np.frombuffer(raw, dtype="<u2", count=count)
-        return bf16_to_f32(bits)
-    np_dtype = {"f64": "<f8", "f32": "<f4", "f16": "<f2"}[code]
-    arr = np.frombuffer(raw, dtype=np_dtype, count=count)
+        return bf16_to_f32(arr)
     if code == "f16":
         return arr.astype(np.float32)
     return arr.astype(arr.dtype.newbyteorder("="))
@@ -94,9 +103,10 @@ def encode_array(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
     with ``clamp`` the value saturates at the largest finite magnitude.
     """
     _check_code(code)
+    storage = DTYPES[code].storage
     flat = np.ascontiguousarray(values).reshape(-1)
     if code == "f64":
-        return flat.astype("<f8").tobytes()
+        return flat.astype(storage).tobytes()
 
     finite_in = np.isfinite(flat)
     with np.errstate(over="ignore"):
@@ -105,8 +115,7 @@ def encode_array(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
             bits = f32_to_bf16(narrowed)
             out_values = bf16_to_f32(bits)
         else:
-            np_dtype = {"f32": "<f4", "f16": "<f2"}[code]
-            out_values = flat.astype(np_dtype)
+            out_values = flat.astype(storage)
 
     overflowed = finite_in & ~np.isfinite(out_values)
     if overflowed.any():
@@ -121,5 +130,5 @@ def encode_array(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
             out_values = np.where(overflowed, saturated, out_values).astype(out_values.dtype)
 
     if code == "bf16":
-        return bits.astype("<u2").tobytes()
+        return bits.astype(storage).tobytes()
     return out_values.tobytes()

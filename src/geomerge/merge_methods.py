@@ -21,12 +21,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import dtypes
 from .delta_ops import (
     SparsifySpec,
     dare_drop,  # noqa: F401  (not called here; kept so it can be traced under this module)
@@ -492,11 +493,10 @@ class MergeJob:
     out_dtype: str = "f32"
     precision: str = "f32"
     strict: bool = True
-    clamp_overflow: bool = False
     threads: int | None = None
-    metadata: dict[str, str] | None = None
 
     def __post_init__(self) -> None:
+        dtypes.itemsize(self.out_dtype)  # validates the code before any merging
         if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
@@ -510,16 +510,6 @@ class TensorStats:
     norm_in: list[float]
     norm_out: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "norm_in": self.norm_in,
-            "norm_out": self.norm_out,
-        }
-
 
 @dataclass
 class MergeSummary:
@@ -531,14 +521,7 @@ class MergeSummary:
     wall_ms: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "parameters": self.parameters,
-            "tensors_merged": self.tensors_merged,
-            "tensors_skipped": self.tensors_skipped,
-            "per_tensor": [t.to_dict() for t in self.per_tensor],
-            "wall_ms": self.wall_ms,
-        }
+        return asdict(self)
 
 
 def _name_tensor(exc: Exception, name: str) -> None:
@@ -593,7 +576,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
     for name in skipped:
         logger.warning("tensor %r is not mergeable; copying from the first source", name)
 
-    def merge_one(name: str) -> tuple[TensorRecord, TensorStats]:
+    def merge_one(name: str) -> tuple[np.ndarray, TensorStats]:
         records = [h.load_tensor(name, job.precision, strict=True) for h in sources]
         flats = [rec.flat() for rec in records]
         base_flat = (
@@ -604,7 +587,6 @@ def run_merge(job: MergeJob) -> MergeSummary:
         out = method.spec.rule(method.param, name, flats, base_flat, weights)
         merged, stats = out if isinstance(out, tuple) else (out, None)
         shape = records[0].shape
-        out = TensorRecord(name=name, data=merged.reshape(shape), dtype=job.out_dtype)
         norm_in = [float(np.linalg.norm(_as_f64(f))) for f in flats]
         tensor_stats = TensorStats(
             name=name,
@@ -624,28 +606,23 @@ def run_merge(job: MergeJob) -> MergeSummary:
             "merged tensor %r (%s) norm %.6g", name, "x".join(map(str, shape)) or "scalar",
             tensor_stats.norm_out,
         )
-        return out, tensor_stats
+        return merged.reshape(shape), tensor_stats
 
-    def copy_fallback(name: str, prefer_base: bool) -> TensorRecord:
-        # numeric failures fall back to the base tensor; non-mergeable names
-        # (shape mismatch / missing) come from the first source holding them
-        donors: list[CheckpointHandle | None] = list(sources)
-        if prefer_base:
-            donors.insert(0, job.base)
-        for h in donors:
-            if h is not None and name in h:
-                rec = h.load_tensor(name, job.precision, strict=False)
-                return TensorRecord(name=name, data=rec.data, dtype=job.out_dtype)
-        raise AlignmentError(f"tensor {name!r} not found in any input")
+    def copy_from(name: str, donors: Sequence[CheckpointHandle | None]) -> np.ndarray:
+        # every output name is held by at least one source
+        donor = next(h for h in donors if h is not None and name in h)
+        return donor.load_tensor(name, job.precision, strict=False).data
 
-    results: dict[str, tuple[TensorRecord, TensorStats]] = {}
-    failed_names: list[str] = []
+    outputs: dict[str, np.ndarray] = {}
+    per_tensor: list[TensorStats] = []
+    failed: list[str] = []
     max_workers = job.threads or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = {name: pool.submit(merge_one, name) for name in mergeable}
         for name in mergeable:
             try:
-                results[name] = futures[name].result()
+                outputs[name], stats = futures[name].result()
+                per_tensor.append(stats)
             except Exception as exc:
                 if job.strict:
                     for pending in futures.values():
@@ -653,27 +630,23 @@ def run_merge(job: MergeJob) -> MergeSummary:
                     _name_tensor(exc, name)
                     raise
                 logger.warning("tensor %r failed (%s); copying fallback", name, exc)
-                failed_names.append(name)
+                failed.append(name)
 
-    out_records = [results[name][0] for name in sorted(results)]
-    out_records += [copy_fallback(name, prefer_base=False) for name in sorted(skipped)]
-    out_records += [copy_fallback(name, prefer_base=True) for name in sorted(failed_names)]
-    skipped_names = skipped + failed_names
-    write_checkpoint(
-        job.out_path,
-        out_records,
-        output_dtype=job.out_dtype,
-        metadata=job.metadata,
-        clamp_overflow=job.clamp_overflow,
-    )
+    # non-mergeable names come from the first source holding them; numeric
+    # failures fall back to the base tensor
+    for name in skipped:
+        outputs[name] = copy_from(name, sources)
+    for name in failed:
+        outputs[name] = copy_from(name, [job.base, *sources])
+    tensors = [TensorRecord(name, outputs[name], job.out_dtype) for name in sorted(outputs)]
+    write_checkpoint(job.out_path, tensors, output_dtype=job.out_dtype)
 
-    per_tensor = [results[name][1] for name in sorted(results)]
     return MergeSummary(
         method=method.kind,
         # explicit settings are echoed even where the method does not read them
         parameters={**{k: method.param(k) for k in method.spec.reads}, **method.params},
-        tensors_merged=len(results),
-        tensors_skipped=sorted(skipped_names),
+        tensors_merged=len(per_tensor),
+        tensors_skipped=sorted(skipped + failed),
         per_tensor=per_tensor,
         wall_ms=(time.perf_counter() - start) * 1000.0,
     )

@@ -9,20 +9,37 @@ constraints are enforced at parse time with actionable messages.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import yaml
 
+from . import dtypes
 from .errors import ConfigError
 from .merge_methods import MERGE_KINDS, MergeMethod
 
 _TOP_KEYS = {"method", "models", "base_model", "parameters", "output"}
 _MODEL_KEYS = {"path", "weight"}
 _OUTPUT_KEYS = {"path", "dtype"}
-_DTYPES = {"f64", "f32", "f16", "bf16"}
-_PRECISIONS = {"f32", "f64"}
+
+
+class _YamlLoader(yaml.SafeLoader):
+    """PyYAML's safe loader plus YAML 1.2 exponent floats: YAML 1.1 reads
+    ``1e-8`` and ``1.0e6`` as strings.  Other scalars keep their types."""
+
+
+_YamlLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
+def load_yaml(text: str) -> Any:
+    """The one place that loads YAML, always with :class:`_YamlLoader`."""
+    return yaml.load(text, Loader=_YamlLoader)
 
 
 @dataclass
@@ -64,7 +81,7 @@ def parse_recipe(
 ) -> MergeRecipe:
     """Parse a recipe document, applying ``key.path=value`` overrides first."""
     try:
-        raw = yaml.safe_load(text)
+        raw = load_yaml(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{source}: invalid YAML ({exc})") from None
     if raw is None:
@@ -84,7 +101,7 @@ def _apply_override(raw: dict[str, Any], item: str, source: str) -> None:
     if not all(segments):
         raise ConfigError(f"{source}: override {item!r} has an empty path segment")
     try:
-        value = yaml.safe_load(value_text)
+        value = load_yaml(value_text)
     except yaml.YAMLError:
         value = value_text
     node: Any = raw
@@ -202,9 +219,9 @@ def _validate_params(kind: str, node: Any, source: str) -> tuple[MergeMethod, st
         method = MergeMethod(kind=kind, params=params)
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-    if precision not in _PRECISIONS:
+    if precision not in dtypes.WORKING_PRECISIONS:
         raise ConfigError(
-            f"{source}: parameters.precision must be one of {sorted(_PRECISIONS)}"
+            f"{source}: parameters.precision must be one of {sorted(dtypes.WORKING_PRECISIONS)}"
         )
     if not isinstance(strict, bool):
         raise ConfigError(f"{source}: parameters.strict must be a boolean")
@@ -220,6 +237,6 @@ def _validate_output(node: Any, source: str) -> tuple[Path, str]:
     if "path" not in node or not isinstance(node["path"], str):
         raise ConfigError(f"{source}: output needs a 'path' string")
     dtype = node.get("dtype", "f32")
-    if dtype not in _DTYPES:
-        raise ConfigError(f"{source}: output.dtype must be one of {sorted(_DTYPES)}")
+    if not isinstance(dtype, str) or dtype not in dtypes.DTYPES:
+        raise ConfigError(f"{source}: output.dtype must be one of {sorted(dtypes.DTYPES)}")
     return Path(node["path"]), dtype
