@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError, NonFiniteError
 from .rng import keyed_stream
-from .sphere import DEGENERATE_NORM, normalized_weights
+from .sphere import DEGENERATE_NORM, norm, normalized_weights
 from .tensor_io import Checkpoint
 
 METRIC_NAMES = ("mean_variance", "eff_rank", "stable_rank", "participation_ratio", "num_rank")
@@ -323,8 +323,8 @@ def weight_norm_report(
         for i, src in enumerate(sources):
             if name not in src:
                 raise AlignmentError(f"tensor {name!r} missing from source {i}")
-        source_norms = [float(np.linalg.norm(src[name].data)) for src in sources]
-        merged_norm = float(np.linalg.norm(merged[name].data))
+        source_norms = [norm(src[name].data) for src in sources]
+        merged_norm = norm(merged[name].data)
         expected = float(np.dot(alphas, source_norms))
         if expected < DEGENERATE_NORM:
             ratio = 1.0 if merged_norm < DEGENERATE_NORM else math.inf

@@ -73,8 +73,14 @@ def f32_to_bf16(values: np.ndarray) -> np.ndarray:
     """Narrow float32 to uint16 bf16 bit patterns, rounding to nearest-even."""
     u = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
     nan_mask = np.isnan(values)
-    bias = np.uint32(0x7FFF) + ((u >> 16) & np.uint32(1))
-    bits = ((u + bias) >> 16).astype(np.uint16)
+    # add 0x7FFF plus the lowest kept bit, then keep the high half; one
+    # full-length uint32 temporary, updated in place
+    rounded = u >> 16
+    rounded &= 1
+    rounded += 0x7FFF
+    rounded += u
+    rounded >>= 16
+    bits = rounded.astype(np.uint16)
     if nan_mask.any():
         # force a quiet-NaN payload instead of letting rounding flush to Inf
         bits = np.where(nan_mask, (u >> 16).astype(np.uint16) | np.uint16(0x0040), bits)
@@ -108,16 +114,16 @@ def encode_array(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
     if code == "f64":
         return flat.astype(storage).tobytes()
 
-    finite_in = np.isfinite(flat)
     with np.errstate(over="ignore"):
         if code == "bf16":
-            narrowed = flat.astype(np.float32)
-            bits = f32_to_bf16(narrowed)
-            out_values = bf16_to_f32(bits)
+            out = f32_to_bf16(flat.astype(np.float32, copy=False))
+            # all exponent bits set: Inf, or NaN, which only a NaN input gives
+            overflowed = (out & 0x7F80) == 0x7F80
         else:
-            out_values = flat.astype(storage)
-
-    overflowed = finite_in & ~np.isfinite(out_values)
+            out = flat.astype(storage, copy=False)
+            overflowed = ~np.isfinite(out)
+    if overflowed.any():
+        overflowed &= np.isfinite(flat)
     if overflowed.any():
         if not clamp:
             culprits = flat[overflowed]
@@ -125,10 +131,7 @@ def encode_array(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
             raise DTypeOverflowError(f"value {worst!r} not representable as {code}")
         saturated = np.sign(flat) * _MAX_FINITE[code]
         if code == "bf16":
-            bits = np.where(overflowed, f32_to_bf16(saturated.astype(np.float32)), bits)
+            out = np.where(overflowed, f32_to_bf16(saturated.astype(np.float32)), out)
         else:
-            out_values = np.where(overflowed, saturated, out_values).astype(out_values.dtype)
-
-    if code == "bf16":
-        return bits.astype(storage).tobytes()
-    return out_values.tobytes()
+            out = np.where(overflowed, saturated, out).astype(out.dtype)
+    return out.astype(storage, copy=False).tobytes()

@@ -42,7 +42,10 @@ from .errors import AlignmentError, ConfigError, DegenerateError, NonFiniteError
 from .sphere import (
     DEGENERATE_NORM,
     KarcherConfig,
+    combine_rows,
+    inner,
     karcher_mean,
+    norm,
     normalize_to_sphere,
     normalized_weights,
     slerp as unit_slerp,
@@ -194,7 +197,7 @@ def _rows_equal(stack: np.ndarray) -> bool:
 
 
 def _row_norms(stack: np.ndarray) -> np.ndarray:
-    norms = np.array([np.linalg.norm(row) for row in stack])
+    norms = np.array([norm(row) for row in stack])
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise NonFiniteError(
@@ -245,8 +248,7 @@ def merge_multislerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) ->
     zero = np.flatnonzero(norms < DEGENERATE_NORM)
     if zero.size:
         raise DegenerateError(f"multislerp source {int(zero[0])} has (near-)zero norm")
-    chord = (w / norms) @ stack
-    if float(np.linalg.norm(chord)) < DEGENERATE_NORM:
+    if norm(combine_rows(w / norms, stack)) < DEGENERATE_NORM:
         logger.warning("multislerp basepoint degenerate (symmetric sources); using lerp")
         return merge_lerp(tensors, weights)
     # the smallest positive tol never stops the loop before its single step
@@ -373,14 +375,14 @@ def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.nda
         raise ValueError(f"model_stock requires at least 2 experts, got {m}")
     b = _as_f64(base)
     deltas = [task_vector(e, b) for e in experts]
-    norms = [float(np.linalg.norm(d)) for d in deltas]
+    norms = [norm(d) for d in deltas]
     cosines = []
     for i in range(m):
         for j in range(i + 1, m):
             if norms[i] < DEGENERATE_NORM or norms[j] < DEGENERATE_NORM:
                 cosines.append(1.0)
             else:
-                cosines.append(float(np.dot(deltas[i], deltas[j])) / (norms[i] * norms[j]))
+                cosines.append(inner(deltas[i], deltas[j]) / (norms[i] * norms[j]))
     c = float(np.mean(cosines))
     c = min(max(c, -1.0 / (m - 1) + 1e-6), 1.0)
     t = m * c / (1.0 + (m - 1) * c)
@@ -587,14 +589,13 @@ def run_merge(job: MergeJob) -> MergeSummary:
         out = method.spec.rule(method.param, name, flats, base_flat, weights)
         merged, stats = out if isinstance(out, tuple) else (out, None)
         shape = records[0].shape
-        norm_in = [float(np.linalg.norm(_as_f64(f))) for f in flats]
         tensor_stats = TensorStats(
             name=name,
             iterations=stats.iterations if stats else None,
             residual=stats.residual if stats else None,
             converged=stats.converged if stats else None,
-            norm_in=norm_in,
-            norm_out=float(np.linalg.norm(merged)),
+            norm_in=[norm(f) for f in flats],
+            norm_out=norm(merged),
         )
         if stats and not stats.converged:
             logger.warning(

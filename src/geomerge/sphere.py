@@ -17,11 +17,13 @@ The reported ``residual`` is the tangent-mean norm computed in n-space at
 the returned iterate, so ``converged`` means ``residual < tol`` there; an
 iterate the Gram estimate calls converged but n-space does not is iterated
 further.  The solver has fixed summation order and no state shared between
-tensors, so merges stay byte-identical for any ``--threads`` value.
+tensors, and its n-length products never go through BLAS, so merges stay
+byte-identical for any ``--threads`` value or BLAS thread count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,15 +81,15 @@ def normalize_to_sphere(v: np.ndarray) -> tuple[np.ndarray, float] | None:
     arr = np.asarray(v, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise NonFiniteError("cannot normalize a vector with NaN/Inf entries")
-    norm = float(np.linalg.norm(arr))
-    if norm < DEGENERATE_NORM:
+    length = norm(arr)
+    if length < DEGENERATE_NORM:
         return None
-    return arr / norm, norm
+    return arr / length, length
 
 
 def geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Great-circle distance between unit vectors, in [0, pi]."""
-    c = float(np.dot(np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)))
+    c = inner(np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64))
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
@@ -99,14 +101,14 @@ def sphere_log(p: np.ndarray, q: np.ndarray, antipodal_eps: float = 1e-8) -> np.
     up to ``antipodal_eps`` (the direction is then undefined).
     """
     p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    c = float(np.clip(np.dot(p64, q64), -1.0, 1.0))
+    c = float(np.clip(inner(p64, q64), -1.0, 1.0))
     if c <= -1.0 + antipodal_eps:
         raise AntipodalError("log map undefined for (near-)antipodal points")
     theta = float(np.arccos(c))
     if theta < _ZERO_ANGLE:
         return np.zeros_like(p64)
     residual = q64 - c * p64
-    rnorm = float(np.linalg.norm(residual))
+    rnorm = norm(residual)
     if rnorm < DEGENERATE_NORM:
         return np.zeros_like(p64)
     return residual * (theta / rnorm)
@@ -119,13 +121,13 @@ def sphere_exp(p: np.ndarray, v: np.ndarray, tangency_tol: float = 1e-6) -> np.n
     sphere.
     """
     p64, v64 = np.asarray(p, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    n = float(np.linalg.norm(v64))
+    n = norm(v64)
     if n < _ZERO_ANGLE:
         return p64.copy()
-    if abs(float(np.dot(p64, v64))) > tangency_tol * n:
+    if abs(inner(p64, v64)) > tangency_tol * n:
         raise ValueError("exp map requires a tangent vector (<p, v> != 0)")
     out = np.cos(n) * p64 + np.sin(n) * (v64 / n)
-    return out / float(np.linalg.norm(out))
+    return out / norm(out)
 
 
 def slerp(p: np.ndarray, q: np.ndarray, t: float, antipodal_eps: float = 1e-8) -> np.ndarray:
@@ -134,13 +136,13 @@ def slerp(p: np.ndarray, q: np.ndarray, t: float, antipodal_eps: float = 1e-8) -
     Falls back to normalized linear interpolation when the angle vanishes.
     """
     p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    c = float(np.clip(np.dot(p64, q64), -1.0, 1.0))
+    c = float(np.clip(inner(p64, q64), -1.0, 1.0))
     if c <= -1.0 + antipodal_eps:
         raise AntipodalError("slerp undefined for (near-)antipodal points")
     theta = float(np.arccos(c))
     if theta < _ZERO_ANGLE:
         mix = (1.0 - t) * p64 + t * q64
-        return mix / float(np.linalg.norm(mix))
+        return mix / norm(mix)
     s = np.sin(theta)
     return (np.sin((1.0 - t) * theta) / s) * p64 + (np.sin(t * theta) / s) * q64
 
@@ -161,6 +163,45 @@ def normalized_weights(weights: "np.ndarray | Sequence[float]", count: int) -> n
     return w / total
 
 
+# -- n-length kernels -------------------------------------------------------
+# Every norm, dot and m x n product over tensor-length vectors goes through
+# np.einsum with its default optimize=False, which never calls BLAS: merges
+# run these inside their own worker pool, where a threaded BLAS call would
+# wake BLAS's threads to spin on the cores the other workers need, and its
+# partial sums would depend on the host's core count.  einsum sums on the
+# calling thread in an order fixed by the shapes.  The m x m coefficient
+# algebra stays on ``@``: it is far below BLAS's threading size.
+
+
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of the flattened ``v``, summed in float64.
+
+    Narrower input is widened chunk by chunk, with no full-length copy.
+    """
+    flat = np.ravel(v)
+    return math.sqrt(np.einsum("i,i->", flat, flat, dtype=np.float64))
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two vectors, summed in float64."""
+    return float(np.einsum("i,i->", a, b, dtype=np.float64))
+
+
+def combine_rows(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``sum_i coef_i * rows[i]``, accumulated in row order."""
+    return np.einsum("i,ij->j", coef, rows)
+
+
+def row_dots(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``<rows[i], x>`` for every row."""
+    return np.einsum("ij,j->i", rows, x)
+
+
+def gram_matrix(rows: np.ndarray) -> np.ndarray:
+    """``<rows[i], rows[j]>`` for every pair of rows."""
+    return np.einsum("ik,jk->ij", rows, rows)
+
+
 def frechet_objective(
     x: np.ndarray, points: "np.ndarray | list[np.ndarray]", weights: np.ndarray
 ) -> float:
@@ -169,8 +210,8 @@ def frechet_objective(
     if pts.shape[0] == 0:
         raise ValueError("frechet_objective requires at least one point")
     w = normalized_weights(weights, pts.shape[0])
-    dots = np.clip(pts @ np.asarray(x, dtype=np.float64), -1.0, 1.0)
-    return float(np.dot(w, np.arccos(dots) ** 2))
+    dots = np.clip(row_dots(pts, np.asarray(x, dtype=np.float64)), -1.0, 1.0)
+    return float(w @ (np.arccos(dots) ** 2))
 
 
 def _tangent_coefficients(
@@ -210,12 +251,12 @@ def _at_iterate(
     Returns (x, beta, gamma, residual) with x re-normalized by its n-space norm
     and gamma the tangent-mean coefficients from n-space dot products.
     """
-    x = (beta * inv_norms) @ pts
-    x_norm = float(np.linalg.norm(x))
+    x = combine_rows(beta * inv_norms, pts)
+    x_norm = norm(x)
     x /= x_norm
     beta = beta / x_norm
-    gamma = _tangent_coefficients((pts @ x) * inv_norms, beta, w, antipodal_eps, iteration)
-    residual = float(np.linalg.norm((gamma * inv_norms) @ pts))
+    gamma = _tangent_coefficients(row_dots(pts, x) * inv_norms, beta, w, antipodal_eps, iteration)
+    residual = norm(combine_rows(gamma * inv_norms, pts))
     return x, beta, gamma, residual
 
 
@@ -242,7 +283,7 @@ def karcher_mean(
     if m == 0:
         raise ValueError("karcher_mean requires at least one point")
     w = normalized_weights(weights, m)
-    gram = pts @ pts.T
+    gram = gram_matrix(pts)
     norms = np.sqrt(np.diagonal(gram))
     if (norms < DEGENERATE_NORM).any():
         bad = int(np.argmin(norms))
@@ -251,8 +292,8 @@ def karcher_mean(
     inv_norms = 1.0 / norms
     gram *= np.outer(inv_norms, inv_norms)
 
-    chord = (w * inv_norms) @ pts
-    chord_norm = float(np.linalg.norm(chord))
+    chord = combine_rows(w * inv_norms, pts)
+    chord_norm = norm(chord)
     if chord_norm < DEGENERATE_NORM:
         beta = np.zeros(m)
         beta[int(np.argmax(w))] = 1.0

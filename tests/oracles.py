@@ -252,3 +252,59 @@ def drop_rescale_direct(
     p = hi - (hi - lo) * frac
     keep = rng.random(n) >= p
     return np.where(keep, d * (1.0 / (1.0 - p)), 0.0)
+
+
+# -- dtype encoding (re-widening overflow check) --------------------------------
+
+_STORAGE = {"f64": "<f8", "f32": "<f4", "f16": "<f2", "bf16": "<u2"}
+_MAX_FINITE = {
+    "f32": float(np.finfo(np.float32).max),
+    "f16": float(np.finfo(np.float16).max),
+    "bf16": 3.3895313892515355e38,  # bits 0x7F7F
+}
+
+
+def _f32_to_bf16_direct(values: np.ndarray) -> np.ndarray:
+    """Round float32 to bf16 bits, nearest-even, NaN kept quiet."""
+    u = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
+    nan_mask = np.isnan(values)
+    bias = np.uint32(0x7FFF) + ((u >> 16) & np.uint32(1))
+    bits = ((u + bias) >> 16).astype(np.uint16)
+    if nan_mask.any():
+        bits = np.where(nan_mask, (u >> 16).astype(np.uint16) | np.uint16(0x0040), bits)
+    return bits
+
+
+def encode_array_direct(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
+    """Container encoding that finds overflow by widening the rounded result
+    back to float32 and testing it for finiteness.  Raises ``OverflowError``
+    with the message ``dtypes.encode_array`` gives its DTypeOverflowError."""
+    storage = _STORAGE[code]
+    flat = np.ascontiguousarray(values).reshape(-1)
+    if code == "f64":
+        return flat.astype(storage).tobytes()
+
+    finite_in = np.isfinite(flat)
+    with np.errstate(over="ignore"):
+        if code == "bf16":
+            narrowed = flat.astype(np.float32)
+            bits = _f32_to_bf16_direct(narrowed)
+            out_values = (bits.astype(np.uint32) << 16).view(np.float32)
+        else:
+            out_values = flat.astype(storage)
+
+    overflowed = finite_in & ~np.isfinite(out_values)
+    if overflowed.any():
+        if not clamp:
+            culprits = flat[overflowed]
+            worst = float(culprits[np.argmax(np.abs(culprits))])
+            raise OverflowError(f"value {worst!r} not representable as {code}")
+        saturated = np.sign(flat) * _MAX_FINITE[code]
+        if code == "bf16":
+            bits = np.where(overflowed, _f32_to_bf16_direct(saturated.astype(np.float32)), bits)
+        else:
+            out_values = np.where(overflowed, saturated, out_values).astype(out_values.dtype)
+
+    if code == "bf16":
+        return bits.astype(storage).tobytes()
+    return out_values.tobytes()
