@@ -39,6 +39,7 @@ from .errors import (
 from .merge_methods import MergeJob, run_merge
 from .recipe import load_recipe, load_yaml
 from .rng import keyed_stream
+from .sphere import norm
 from .tensor_io import open_checkpoint, read_checkpoint
 
 EXIT_OK = 0
@@ -262,7 +263,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                     "name": name,
                     "shape": list(record.shape),
                     "dtype": handle.dtype(name),
-                    "norm": float(np.linalg.norm(record.data)),
+                    "norm": norm(record.data),
                 }
             )
     if args.as_json:

@@ -49,12 +49,14 @@ def sparsify_stream(seed: int, tensor_name: str, model_index: int) -> np.random.
 
 
 def task_vector(expert: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Elementwise update of an expert relative to its base (float64)."""
-    e = np.asarray(expert, dtype=np.float64).reshape(-1)
-    b = np.asarray(base, dtype=np.float64).reshape(-1)
+    """Elementwise update of an expert relative to its base (float64).
+
+    Narrower inputs are widened inside the subtraction, not copied first.
+    """
+    e, b = np.ravel(expert), np.ravel(base)
     if e.shape != b.shape:
         raise ValueError(f"length mismatch: expert has {e.size}, base has {b.size}")
-    return e - b
+    return np.subtract(e, b, dtype=np.float64)
 
 
 def trim_topk(
@@ -105,10 +107,9 @@ def trim_topk(
 def elect_signs(deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-coordinate sign of the weighted delta sum; zero sums become +1.
 
-    ``deltas`` is a sequence of equal-length vectors or an m x n float64
-    stack, which is used as is, not copied.
+    ``deltas`` is anything :func:`stack_rows` takes.
     """
-    mat = _stack(deltas)
+    mat = stack_rows(deltas)
     w = np.asarray(weights, dtype=np.float64)
     totals = w @ mat
     return np.where(totals < 0.0, -1.0, 1.0)
@@ -120,12 +121,12 @@ def disjoint_merge(
     """Weighted mean over the nonzero entries agreeing with the elected sign.
 
     Weights are renormalized over the agreeing subset per coordinate; a
-    coordinate with no agreeing model is 0.  ``deltas`` is a sequence of
-    equal-length vectors or an m x n float64 stack, used as is.  The
-    numerator and denominator are accumulated one row at a time, in row
-    order from +0.0, in two length-n buffers; no m x n temporary is built.
+    coordinate with no agreeing model is 0.  ``deltas`` is anything
+    :func:`stack_rows` takes.  The numerator and denominator are
+    accumulated one row at a time, in row order from +0.0, in two length-n
+    buffers; no m x n temporary is built.
     """
-    mat = _stack(deltas)
+    mat = stack_rows(deltas)
     w = np.asarray(weights, dtype=np.float64)
     s = np.asarray(signs, dtype=np.float64)
     m, n = mat.shape
@@ -190,16 +191,21 @@ def della_drop(delta: np.ndarray, spec: SparsifySpec, rng: np.random.Generator) 
     return out
 
 
-def _stack(deltas: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
-    if isinstance(deltas, np.ndarray) and deltas.ndim == 2 and deltas.dtype == np.float64:
-        if deltas.shape[0] == 0:
-            raise ValueError("need at least one delta")
-        return deltas
-    if len(deltas) == 0:
-        raise ValueError("need at least one delta")
-    rows = [np.asarray(d, dtype=np.float64).reshape(-1) for d in deltas]
-    length = rows[0].size
-    for i, r in enumerate(rows):
-        if r.size != length:
-            raise ValueError(f"length mismatch: delta 0 has {length}, delta {i} has {r.size}")
-    return np.vstack(rows)
+def stack_rows(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Equal-length vectors as the rows of one float64 matrix.
+
+    An m x n float64 array is used as is, not copied.  Anything else is a
+    sequence of arrays of any float dtype and shape, each flattened and cast
+    straight into its row of one new matrix.
+    """
+    if len(vectors) == 0:
+        raise ValueError("need at least one vector")
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2 and vectors.dtype == np.float64:
+        return vectors
+    flats = [np.ravel(v) for v in vectors]
+    for i, flat in enumerate(flats):
+        if flat.size != flats[0].size:
+            raise ValueError(
+                f"length mismatch: vector 0 has {flats[0].size}, vector {i} has {flat.size}"
+            )
+    return np.stack(flats, dtype=np.float64)

@@ -35,6 +35,7 @@ from .delta_ops import (
     disjoint_merge,
     elect_signs,
     sparsify_stream,
+    stack_rows,
     task_vector,
     trim_topk,
 )
@@ -179,29 +180,29 @@ def weighted_sum(vectors: Iterable[np.ndarray], weights: np.ndarray) -> np.ndarr
     """Fixed-order float64 weighted sum (deterministic across thread counts).
 
     The sum starts from +0.0, as a zero vector would; ``vectors`` may be a
-    generator, so only one of them need be held at a time.
+    generator, so only one of them need be held at a time.  Each vector is
+    widened inside its product, not copied first.
     """
     acc: Any = 0.0
     for w_i, vec in zip(weights, vectors):
-        acc += w_i * _as_f64(vec)
+        acc += np.multiply(np.ravel(vec), w_i, dtype=np.float64)
     return acc
-
-
-def _stack_rows(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    """Flattened sources as the rows of one new float64 matrix."""
-    return np.stack([np.ravel(v) for v in vectors], dtype=np.float64)
 
 
 def _rows_equal(stack: np.ndarray) -> bool:
     return all(np.array_equal(stack[0], row) for row in stack[1:])
 
 
+#: Beyond this norm the squared norm, and so the solver's Gram matrix, overflows.
+_MAX_NORM = math.sqrt(sys.float_info.max)
+
+
 def _row_norms(stack: np.ndarray) -> np.ndarray:
     norms = np.array([norm(row) for row in stack])
-    bad = np.flatnonzero(~np.isfinite(norms))
+    bad = np.flatnonzero(~(norms <= _MAX_NORM))  # NaN compares false
     if bad.size:
         raise NonFiniteError(
-            f"source {int(bad[0])} has NaN/Inf entries or a norm beyond float64 range"
+            f"source {int(bad[0])} has NaN/Inf entries or a squared norm beyond float64 range"
         )
     return norms
 
@@ -241,7 +242,7 @@ def merge_multislerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) ->
     if len(tensors) < 2:
         raise ValueError("multislerp requires at least 2 tensors")
     w = normalized_weights(weights, len(tensors))
-    stack = _stack_rows(tensors)
+    stack = stack_rows(tensors)
     if _rows_equal(stack):
         return stack[0].copy()
     norms = _row_norms(stack)
@@ -269,7 +270,7 @@ def merge_karcher(
     weighted mean of all source norms.
     """
     w = normalized_weights(weights, len(tensors))
-    stack = _stack_rows(tensors)
+    stack = stack_rows(tensors)
     if _rows_equal(stack):
         return stack[0].copy(), SolverStats(0, 0.0, True)
     norms = _row_norms(stack)
@@ -288,10 +289,9 @@ def merge_task_arithmetic(
     scaling: float = 1.0,
 ) -> np.ndarray:
     """base + scaling * weighted mean of expert deltas."""
-    b = _as_f64(base)
+    b = np.ravel(base)
     w = normalized_weights(weights, len(experts))
-    deltas = [task_vector(e, b) for e in experts]
-    return b + scaling * weighted_sum(deltas, w)
+    return b + scaling * weighted_sum((task_vector(e, b) for e in experts), w)
 
 
 def merge_ties(
@@ -300,10 +300,10 @@ def merge_ties(
     weights: Sequence[float],
     density: float = 0.5,
 ) -> np.ndarray:
-    """Trim small delta entries, elect per-coordinate signs, average agreers."""
-    b = _as_f64(base)
-    w = normalized_weights(weights, len(experts))
-    return b + _ties_combine((task_vector(e, b) for e in experts), w, b.size, density)
+    """Trim small delta entries, elect per-coordinate signs, average agreers:
+    :func:`merge_della` with nothing dropped."""
+    spec = SparsifySpec(density=density, drop_rate=0.0, window=0.0)
+    return merge_della(base, experts, weights, spec, "ties")
 
 
 def merge_dare(
@@ -334,32 +334,29 @@ def merge_della(
 ) -> np.ndarray:
     """Magnitude-aware drop-and-rescale, then lerp or ties combination.
 
-    Each dropped delta goes straight into the combination as it is made, so
-    no list of all m dropped deltas is held.
+    Each delta goes straight into the combination as it is made, so no list
+    of all m deltas is held.  With ``drop_rate=0`` (hence ``window=0``)
+    nothing is dropped and no random draw is made.  The ties combination
+    trims each delta into its row of one m x n stack, then elects signs and
+    takes the disjoint mean over that same stack.
     """
     if combine not in ("lerp", "ties"):
         raise ConfigError(f"unknown combine mode {combine!r}; expected 'lerp' or 'ties'")
-    b = _as_f64(base)
+    b = np.ravel(base)
     w = normalized_weights(weights, len(experts))
-    indices = range(len(experts)) if model_indices is None else model_indices
-    dropped = (
-        della_drop(task_vector(e, b), spec, sparsify_stream(spec.seed, tensor_name, idx))
-        for e, idx in zip(experts, indices)
-    )
-    if combine == "ties":
-        return b + _ties_combine(dropped, w, b.size, spec.density)
-    return b + weighted_sum(dropped, w)
-
-
-def _ties_combine(
-    deltas: Iterable[np.ndarray], w: np.ndarray, n: int, density: float
-) -> np.ndarray:
-    """Trim each length-n delta straight into one m x n stack (m = len(w)),
-    then elect signs and take the disjoint mean over that same stack."""
-    stack = np.empty((w.size, n), dtype=np.float64)
+    deltas = (task_vector(e, b) for e in experts)
+    if spec.drop_rate > 0.0:
+        indices = range(len(experts)) if model_indices is None else model_indices
+        deltas = (
+            della_drop(d, spec, sparsify_stream(spec.seed, tensor_name, idx))
+            for d, idx in zip(deltas, indices)
+        )
+    if combine == "lerp":
+        return b + weighted_sum(deltas, w)
+    stack = np.empty((w.size, b.size), dtype=np.float64)
     for row, delta in zip(stack, deltas):
-        trim_topk(delta, density, out=row)
-    return disjoint_merge(stack, w, elect_signs(stack, w))
+        trim_topk(delta, spec.density, out=row)
+    return b + disjoint_merge(stack, w, elect_signs(stack, w))
 
 
 def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.ndarray:
@@ -415,23 +412,18 @@ class MethodSpec:
     max_sources: int | None = None
 
 
-def _dare_rule(combine: str) -> Rule:
-    return lambda p, name, flats, base, w: merge_dare(
-        base, flats, w, p("drop_rate"), combine, p("density"), p("seed"), name
-    )
+def _delta_method(*reads: str) -> MethodSpec:
+    """ties, dare_* and della_*: :func:`merge_della` with the drop parameters
+    the method reads, and 0 for those it does not; a method that reads
+    ``density`` combines by TIES."""
+    combine = "ties" if "density" in reads else "lerp"
 
+    def rule(p: Callable[[str], Any], name: str, flats: list, base: Any, w: np.ndarray) -> Any:
+        drop = {key: p(key) if key in reads else 0.0 for key in ("drop_rate", "window")}
+        spec = SparsifySpec(density=p("density"), seed=p("seed"), **drop)
+        return merge_della(base, flats, w, spec, combine, name)
 
-def _della_rule(combine: str) -> Rule:
-    return lambda p, name, flats, base, w: merge_della(
-        base,
-        flats,
-        w,
-        SparsifySpec(
-            density=p("density"), drop_rate=p("drop_rate"), window=p("window"), seed=p("seed")
-        ),
-        combine,
-        name,
-    )
+    return MethodSpec(reads, rule, needs_base=True)
 
 
 METHODS: dict[str, MethodSpec] = {
@@ -456,19 +448,11 @@ METHODS: dict[str, MethodSpec] = {
         lambda p, name, flats, base, w: merge_task_arithmetic(base, flats, w, p("lambda")),
         needs_base=True,
     ),
-    "ties": MethodSpec(
-        ("density",),
-        lambda p, name, flats, base, w: merge_ties(base, flats, w, p("density")),
-        needs_base=True,
-    ),
-    "dare_lerp": MethodSpec(("drop_rate", "seed"), _dare_rule("lerp"), needs_base=True),
-    "dare_ties": MethodSpec(("drop_rate", "density", "seed"), _dare_rule("ties"), needs_base=True),
-    "della_lerp": MethodSpec(
-        ("drop_rate", "window", "seed"), _della_rule("lerp"), needs_base=True
-    ),
-    "della_ties": MethodSpec(
-        ("drop_rate", "window", "density", "seed"), _della_rule("ties"), needs_base=True
-    ),
+    "ties": _delta_method("density"),
+    "dare_lerp": _delta_method("drop_rate", "seed"),
+    "dare_ties": _delta_method("drop_rate", "density", "seed"),
+    "della_lerp": _delta_method("drop_rate", "window", "seed"),
+    "della_ties": _delta_method("drop_rate", "window", "density", "seed"),
     "model_stock": MethodSpec(
         (),
         lambda p, name, flats, base, w: merge_model_stock(base, flats),
@@ -586,7 +570,9 @@ def run_merge(job: MergeJob) -> MergeSummary:
             if method.needs_base
             else None
         )
-        out = method.spec.rule(method.param, name, flats, base_flat, weights)
+        # an overflow or invalid operation shows as a non-finite entry below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = method.spec.rule(method.param, name, flats, base_flat, weights)
         merged, stats = out if isinstance(out, tuple) else (out, None)
         shape = records[0].shape
         tensor_stats = TensorStats(
@@ -597,6 +583,9 @@ def run_merge(job: MergeJob) -> MergeSummary:
             norm_in=[norm(f) for f in flats],
             norm_out=norm(merged),
         )
+        # the norm is finite when every entry is, unless it exceeds float64's range
+        if not math.isfinite(tensor_stats.norm_out) and not np.isfinite(merged).all():
+            raise NonFiniteError("merge produced NaN/Inf values")
         if stats and not stats.converged:
             logger.warning(
                 "tensor %r: barycenter solver hit max_iter (residual %.3e)",

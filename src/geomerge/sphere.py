@@ -176,10 +176,17 @@ def normalized_weights(weights: "np.ndarray | Sequence[float]", count: int) -> n
 def norm(v: np.ndarray) -> float:
     """Euclidean norm of the flattened ``v``, summed in float64.
 
-    Narrower input is widened chunk by chunk, with no full-length copy.
+    Narrower input is widened chunk by chunk, with no full-length copy.  When
+    the sum of squares overflows though every entry is finite, the norm is
+    summed again over the entries scaled by the largest magnitude, so it is
+    finite unless it exceeds float64's range itself.
     """
     flat = np.ravel(v)
-    return math.sqrt(np.einsum("i,i->", flat, flat, dtype=np.float64))
+    squares = np.einsum("i,i->", flat, flat, dtype=np.float64)
+    if squares == math.inf and np.isfinite(flat).all():
+        scale = float(max(flat.max(), -flat.min()))
+        return scale * norm(flat / scale)
+    return math.sqrt(squares)
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
