@@ -35,7 +35,7 @@ class NonFiniteError(GeomergeError):
 
 
 class DTypeOverflowError(GeomergeError):
-    """Value not representable in the requested output dtype (exit 3)."""
+    """Value not representable in the output dtype or the working precision (exit 3)."""
 
 
 class DegenerateError(GeomergeError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -266,7 +267,9 @@ class CheckpointHandle:
 
         f32 -> f64 is value-exact; f16/bf16 widen exactly to f32 before any
         further conversion.  With ``strict`` (default) NaN/Inf payloads raise
-        :class:`NonFiniteError`.
+        :class:`NonFiniteError`, and finite f64 values beyond the working
+        precision's range raise :class:`DTypeOverflowError`; without it they
+        load as Inf.
         """
         entry = self._entry(name)
         target = working_dtype(precision)
@@ -280,9 +283,17 @@ class CheckpointHandle:
             values = dtypes.decode_buffer(raw, entry.code, count)
         else:
             values = np.empty(0, dtype=target)
-        arr = values.astype(target, copy=False).reshape(entry.shape)
+        # narrowing f64 to f32 turns a finite value beyond f32's range into Inf
+        with np.errstate(over="ignore"):
+            arr = values.astype(target, copy=False).reshape(entry.shape)
         if strict and not np.isfinite(arr).all():
-            raise NonFiniteError(f"tensor {name!r} in {self.path} contains NaN/Inf")
+            if not np.isfinite(values).all():
+                raise NonFiniteError(f"tensor {name!r} in {self.path} contains NaN/Inf")
+            worst = float(values[np.argmax(np.abs(values))])
+            raise DTypeOverflowError(
+                f"tensor {name!r} in {self.path} holds {worst!r}, beyond the range of "
+                f"the {precision} working precision; set precision: f64"
+            )
         return TensorRecord(name=name, data=arr, dtype=entry.code)
 
     def load_all(self, precision: str = "f32", strict: bool = True) -> Checkpoint:
@@ -327,6 +338,133 @@ def read_checkpoint(
         return handle.load_all(precision, strict)
 
 
+class CheckpointWriter:
+    """Write a container whose layout is fixed before any payload exists.
+
+    The header is laid out from ``{name: shape}`` and ``output_dtype`` alone:
+    names in lexicographic order, each buffer ``elements x itemsize`` bytes,
+    so identical inputs always give byte-identical files.  Construction opens
+    a fresh temporary sibling of ``path`` and writes the header; :meth:`put`
+    encodes one tensor and writes it at its own offset, and may be called
+    from several threads at once.  :meth:`commit` syncs the file and renames
+    it over ``path``; :meth:`abort` deletes it.  As a context manager the
+    writer commits on a clean exit and aborts on an exception.
+    """
+
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        shapes: dict[str, tuple[int, ...]],
+        output_dtype: str = "f32",
+        metadata: dict[str, str] | None = None,
+        clamp_overflow: bool = False,
+    ):
+        size = dtypes.itemsize(output_dtype)
+        if "__metadata__" in shapes:
+            raise ValueError("tensor name '__metadata__' is reserved")
+        self.output_dtype = output_dtype
+        self.clamp_overflow = clamp_overflow
+        header: dict[str, object] = {}
+        if metadata:
+            header["__metadata__"] = {str(k): str(v) for k, v in metadata.items()}
+        self._spans: dict[str, tuple[int, int]] = {}
+        cursor = 0
+        for name in sorted(shapes):
+            shape = list(shapes[name])
+            end = cursor + math.prod(shape) * size  # what _parse_entry checks on read
+            header[name] = {
+                "dtype": dtypes.container_tag(output_dtype),
+                "shape": shape,
+                "data_offsets": [cursor, end],
+            }
+            self._spans[name] = (cursor, end - cursor)
+            cursor = end
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        self._data_start = _HEADER_PREFIX_LEN + len(header_bytes)
+        self._written: set[str] = set()
+        self._lock = threading.Lock()
+        self._held = threading.local()
+
+        self.path = Path(path)
+        # A fresh random name per writer (128 bits, as in a uuid4), so
+        # concurrent writers of one output never share (or delete) each
+        # other's temporary file.  Mode 0o666 less the umask is what
+        # open(path, "wb") would give.
+        self._tmp = self.path.with_name(f"{self.path.name}.{os.urandom(16).hex()}.tmp")
+        self._fd = os.open(self._tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            prefix = len(header_bytes).to_bytes(_HEADER_PREFIX_LEN, "little")
+            self._write_at(prefix + header_bytes, 0)
+        except BaseException:
+            self.abort()
+            raise
+
+    def _write_at(self, raw: bytes, offset: int) -> None:
+        view = memoryview(raw)
+        while view:
+            written = os.pwrite(self._fd, view, offset)
+            view = view[written:]
+            offset += written
+
+    def put(self, name: str, array: np.ndarray) -> None:
+        """Encode ``array`` and write it at ``name``'s offset.
+
+        A value outside the output dtype's range raises
+        :class:`DTypeOverflowError` naming the tensor (or saturates when
+        ``clamp_overflow`` is set).
+        """
+        offset, nbytes = self._spans[name]
+        try:
+            raw = dtypes.encode_array(array, self.output_dtype, self.clamp_overflow)
+        except DTypeOverflowError as exc:
+            raise DTypeOverflowError(f"tensor {name!r}: {exc}") from None
+        if len(raw) != nbytes:
+            raise ValueError(
+                f"tensor {name!r} encodes to {len(raw)} bytes, its layout holds {nbytes}"
+            )
+        self._write_at(raw, self._data_start + offset)
+        with self._lock:
+            self._written.add(name)
+        # Each thread keeps its largest buffer so far until it has encoded
+        # one at least as large.  Freed any sooner, it leaves free memory at
+        # the top of the heap, which malloc hands back to the kernel, so the
+        # next tensor's encode temporaries fault in afresh: on a 384-tensor
+        # bf16 write (2-core host) that was 2.3x the minor faults and 10%
+        # more wall time.
+        if len(raw) >= len(getattr(self._held, "raw", b"")):
+            self._held.raw = raw
+
+    def commit(self) -> None:
+        """Sync the file and rename it over the output path."""
+        try:
+            missing = sorted(set(self._spans) - self._written)
+            if missing:
+                raise ValueError(f"tensor {missing[0]!r} was laid out but never written")
+            os.fsync(self._fd)
+            os.close(self._fd)
+            self._fd = -1
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        """Close and delete the temporary file."""
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+        self._tmp.unlink(missing_ok=True)
+
+    def __enter__(self) -> "CheckpointWriter":
+        return self
+
+    def __exit__(self, exc_type: type | None, *exc: object) -> None:
+        if exc_type is None:
+            self.commit()
+        else:
+            self.abort()
+
+
 def write_checkpoint(
     path: str | os.PathLike,
     tensors: Iterable[TensorRecord],
@@ -334,65 +472,23 @@ def write_checkpoint(
     metadata: dict[str, str] | None = None,
     clamp_overflow: bool = False,
 ) -> None:
-    """Write tensors to ``path`` at ``output_dtype``.
+    """Write tensors to ``path`` at ``output_dtype`` through a
+    :class:`CheckpointWriter`.
 
-    Names must be unique; tensors are laid out in lexicographic name order so
-    identical inputs always produce byte-identical files, and are encoded
-    and written one at a time after the header.  Values outside the output
-    dtype's range raise :class:`DTypeOverflowError` naming the first such
-    tensor (or saturate when ``clamp_overflow`` is set).  The file is
-    written to a temporary sibling and atomically renamed.
+    Names must be unique; tensors are laid out, encoded and written in
+    lexicographic name order, so the first tensor with a value outside the
+    output dtype's range is the one a :class:`DTypeOverflowError` names.
+    The file is written to a temporary sibling and atomically renamed.
     """
-    size = dtypes.itemsize(output_dtype)
     records: dict[str, TensorRecord] = {}
     for rec in tensors:
-        if rec.name == "__metadata__":
-            raise ValueError("tensor name '__metadata__' is reserved")
         if rec.name in records:
             raise ValueError(f"duplicate tensor name {rec.name!r}")
         records[rec.name] = rec
-    names = sorted(records)
-
-    header: dict[str, object] = {}
-    if metadata:
-        header["__metadata__"] = {str(k): str(v) for k, v in metadata.items()}
-    cursor = 0
-    for name in names:
-        rec = records[name]
-        end = cursor + rec.data.size * size  # what _parse_entry checks on read
-        header[name] = {
-            "dtype": dtypes.container_tag(output_dtype),
-            "shape": list(rec.shape),
-            "data_offsets": [cursor, end],
-        }
-        cursor = end
-
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    # A fresh random name per call (128 bits, as in a uuid4), so concurrent
-    # writers of one output never share (or delete) each other's temporary
-    # file.  Mode 0o666 less the umask is what open(path, "wb") would give.
-    tmp = path.with_name(f"{path.name}.{os.urandom(16).hex()}.tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(len(header_bytes).to_bytes(_HEADER_PREFIX_LEN, "little"))
-            fh.write(header_bytes)
-            # Each buffer lives until the next encode has run.  Freed any
-            # sooner, it leaves only free memory at the top of the heap, which
-            # malloc hands back to the kernel, so every tensor's encode
-            # temporaries fault in afresh: on a 384-tensor bf16 merge (2-core
-            # host) that was 2.3x the minor faults and 10% more wall time.
-            for name in names:
-                try:
-                    raw = dtypes.encode_array(records[name].data, output_dtype, clamp_overflow)
-                except DTypeOverflowError as exc:
-                    raise DTypeOverflowError(f"tensor {name!r}: {exc}") from None
-                fh.write(raw)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    shapes = {name: rec.shape for name, rec in records.items()}
+    with CheckpointWriter(path, shapes, output_dtype, metadata, clamp_overflow) as out:
+        for name in sorted(records):
+            out.put(name, records[name].data)
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written against the file-format and math
 definitions from first principles (pure Python loops, bit twiddling, dense
-grids) so it shares no code with the package under test.
+grids) so it shares no code with the package under test.  The exception is
+``run_merge_held``, an earlier orchestration of the package's own rules,
+loads and writer, kept to compare output paths.
 """
 
 from __future__ import annotations
@@ -308,3 +310,118 @@ def encode_array_direct(values: np.ndarray, code: str, clamp: bool = False) -> b
     if code == "bf16":
         return bits.astype(storage).tobytes()
     return out_values.tobytes()
+
+
+# -- hold-everything merge output (reference output path) ----------------------
+
+
+def run_merge_held(job):
+    """``run_merge`` as it was before the output streamed: every merged and
+    copied tensor is held, as an f64 result or a loaded copy, until one
+    ``write_checkpoint`` call encodes and writes them all in name order.
+
+    The merge rules, loads, stats and the writer are the package's; only the
+    orchestration is kept, so a streaming ``run_merge`` must give the same
+    bytes, summary (apart from ``wall_ms``) and errors.
+    """
+    import logging
+    import os
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    from geomerge.errors import AlignmentError, NonFiniteError
+    from geomerge.merge_methods import MergeSummary, TensorStats, _name_tensor
+    from geomerge.sphere import norm, normalized_weights
+    from geomerge.tensor_io import TensorRecord, validate_aligned, write_checkpoint
+
+    logger = logging.getLogger("geomerge.merge_methods")
+    start = time.perf_counter()
+    sources = list(job.sources)
+    method = job.method
+    method.validate_sources(len(sources), job.base is not None)
+    weights = (
+        np.full(len(sources), 1.0 / len(sources))
+        if job.weights is None
+        else normalized_weights(job.weights, len(sources))
+    )
+
+    align_set = sources + ([job.base] if method.needs_base else [])
+    if len(align_set) >= 2:
+        report = validate_aligned(align_set)
+        if job.strict and not report.is_aligned:
+            problems = sorted(report.missing) + sorted(report.shape_conflicts)
+            raise AlignmentError(
+                "checkpoints are not aligned; offending tensors: " + ", ".join(problems)
+            )
+        mergeable = list(report.mergeable)
+    else:
+        mergeable = sources[0].names()
+
+    union_names: set[str] = set()
+    for h in sources:
+        union_names.update(h.names())
+    skipped = sorted(union_names.difference(mergeable))
+    for name in skipped:
+        logger.warning("tensor %r is not mergeable; copying from the first source", name)
+
+    def merge_one(name):
+        records = [h.load_tensor(name, job.precision, strict=True) for h in sources]
+        flats = [rec.flat() for rec in records]
+        base_flat = (
+            job.base.load_tensor(name, job.precision, strict=True).flat()
+            if method.needs_base
+            else None
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = method.spec.rule(method.param, name, flats, base_flat, weights)
+        merged, stats = out if isinstance(out, tuple) else (out, None)
+        tensor_stats = TensorStats(
+            name=name,
+            iterations=stats.iterations if stats else None,
+            residual=stats.residual if stats else None,
+            converged=stats.converged if stats else None,
+            norm_in=[norm(f) for f in flats],
+            norm_out=norm(merged),
+        )
+        if not math.isfinite(tensor_stats.norm_out) and not np.isfinite(merged).all():
+            raise NonFiniteError("merge produced NaN/Inf values")
+        return merged.reshape(records[0].shape), tensor_stats
+
+    def copy_from(name, donors):
+        donor = next(h for h in donors if h is not None and name in h)
+        return donor.load_tensor(name, job.precision, strict=False).data
+
+    outputs = {}
+    per_tensor = []
+    failed = []
+    max_workers = job.threads or os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = {name: pool.submit(merge_one, name) for name in mergeable}
+        for name in mergeable:
+            try:
+                outputs[name], stats = futures[name].result()
+                per_tensor.append(stats)
+            except Exception as exc:
+                if job.strict:
+                    for pending in futures.values():
+                        pending.cancel()
+                    _name_tensor(exc, name)
+                    raise
+                logger.warning("tensor %r failed (%s); copying fallback", name, exc)
+                failed.append(name)
+
+    for name in skipped:
+        outputs[name] = copy_from(name, sources)
+    for name in failed:
+        outputs[name] = copy_from(name, [job.base, *sources])
+    tensors = [TensorRecord(name, outputs[name], job.out_dtype) for name in sorted(outputs)]
+    write_checkpoint(job.out_path, tensors, output_dtype=job.out_dtype)
+
+    return MergeSummary(
+        method=method.kind,
+        parameters={**{k: method.param(k) for k in method.spec.reads}, **method.params},
+        tensors_merged=len(per_tensor),
+        tensors_skipped=sorted(skipped + failed),
+        per_tensor=per_tensor,
+        wall_ms=(time.perf_counter() - start) * 1000.0,
+    )
