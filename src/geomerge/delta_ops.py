@@ -16,6 +16,10 @@ import numpy as np
 
 from .rng import keyed_stream
 
+#: Entries per block where a loop works through a length-n vector a block at
+#: a time: :func:`disjoint_merge`'s three float64 block buffers take 384 KiB.
+_BLOCK = 1 << 14
+
 
 @dataclass
 class SparsifySpec:
@@ -48,15 +52,19 @@ def sparsify_stream(seed: int, tensor_name: str, model_index: int) -> np.random.
     return keyed_stream(seed, tensor_name, model_index)
 
 
-def task_vector(expert: np.ndarray, base: np.ndarray) -> np.ndarray:
+def task_vector(
+    expert: np.ndarray, base: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Elementwise update of an expert relative to its base (float64).
 
     Narrower inputs are widened inside the subtraction, not copied first.
+    ``out``, if given, is a float64 vector of the same length that receives
+    the result (a row of a preallocated stack); the result is returned.
     """
     e, b = np.ravel(expert), np.ravel(base)
     if e.shape != b.shape:
         raise ValueError(f"length mismatch: expert has {e.size}, base has {b.size}")
-    return np.subtract(e, b, dtype=np.float64)
+    return np.subtract(e, b, out=out, dtype=np.float64)
 
 
 def trim_topk(
@@ -107,12 +115,39 @@ def trim_topk(
 def elect_signs(deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-coordinate sign of the weighted delta sum; zero sums become +1.
 
-    ``deltas`` is anything :func:`stack_rows` takes.
+    ``deltas`` is anything :func:`stack_rows` takes.  The sums are one
+    OpenBLAS gemv per block of B columns, B the largest power of two with
+    m * B < 9216.  OpenBLAS runs a gemv that small (under 2304 times its
+    default ``GEMM_MULTITHREAD_THRESHOLD`` of 4) on the calling thread; a
+    whole-stack ``w @ mat`` may go to its thread pool, whose threads then
+    spin on the cores the merge workers need.
+
+    Tied signs hang on the last bits of the sums, and those depend on where
+    a column falls in the kernel's unrolled body or scalar tail.  Blocks a
+    power of two wide keep every column where it falls in the whole stack,
+    so each sum has the bits of one single-threaded ``w @ mat``.  Blocks of
+    another width change the bits at each block's tail, as a threaded gemv
+    does where it splits the columns; einsum or exact sums change them
+    throughout.
     """
-    mat = stack_rows(deltas)
-    w = np.asarray(weights, dtype=np.float64)
-    totals = w @ mat
-    return np.where(totals < 0.0, -1.0, 1.0)
+    totals = _weighted_totals(stack_rows(deltas), np.asarray(weights, dtype=np.float64))
+    negative = totals < 0.0
+    totals.fill(1.0)
+    totals[negative] = -1.0
+    return totals
+
+
+def _weighted_totals(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w @ mat`` in the column blocks :func:`elect_signs` describes: one
+    ``np.matmul`` over a (blocks, m, B) view, and one for the tail."""
+    m, n = mat.shape
+    block = 1 << max(0, (9215 // m).bit_length() - 1)
+    full = n - n % block
+    totals = np.empty(n)
+    blocks = mat[:, :full].reshape(m, -1, block).transpose(1, 0, 2)
+    np.matmul(w, blocks, out=totals[:full].reshape(-1, block))
+    np.matmul(w, mat[:, full:], out=totals[full:])
+    return totals
 
 
 def disjoint_merge(
@@ -123,8 +158,9 @@ def disjoint_merge(
     Weights are renormalized over the agreeing subset per coordinate; a
     coordinate with no agreeing model is 0.  ``deltas`` is anything
     :func:`stack_rows` takes.  The numerator and denominator are
-    accumulated one row at a time, in row order from +0.0, in two length-n
-    buffers; no m x n temporary is built.
+    accumulated one row at a time, in row order from +0.0.  The columns go
+    in blocks of ``_BLOCK``, so that the denominator and the products stay
+    in cache and only the result is n long; no m x n temporary is built.
     """
     mat = stack_rows(deltas)
     w = np.asarray(weights, dtype=np.float64)
@@ -135,20 +171,24 @@ def disjoint_merge(
     if s.shape != (n,):
         raise ValueError("signs length does not match delta length")
     numer = np.zeros(n)
-    denom = np.zeros(n)
-    product = np.empty(n)
-    weighted = np.empty(n)
-    agree = np.empty(n, dtype=bool)
-    for w_i, row in zip(w, mat):
-        np.multiply(row, s, out=product)
-        np.greater(product, 0.0, out=agree)
-        np.multiply(agree, w_i, out=weighted)
-        denom += weighted
-        np.multiply(weighted, row, out=product)
-        numer += product
-    live = denom > 0.0
-    np.divide(numer, denom, out=numer, where=live)
-    numer[~live] = 0.0
+    scratch = np.empty((3, min(n, _BLOCK)))
+    mask = np.empty(scratch.shape[1], dtype=bool)
+    for j in range(0, n, _BLOCK):
+        num, sign = numer[j : j + _BLOCK], s[j : j + _BLOCK]
+        k = num.size
+        denom, product, weighted = scratch[:, :k]
+        agree = mask[:k]
+        denom.fill(0.0)
+        for w_i, row in zip(w, mat[:, j : j + k]):
+            np.multiply(row, sign, out=product)
+            np.greater(product, 0.0, out=agree)
+            np.multiply(agree, w_i, out=weighted)
+            denom += weighted
+            np.multiply(weighted, row, out=product)
+            num += product
+        np.greater(denom, 0.0, out=agree)
+        np.divide(num, denom, out=num, where=agree)
+        num[~agree] = 0.0
     return numer
 
 
@@ -160,7 +200,13 @@ def dare_drop(delta: np.ndarray, drop_rate: float, rng: np.random.Generator) -> 
     return della_drop(delta, SparsifySpec(drop_rate=drop_rate, window=0.0), rng)
 
 
-def della_drop(delta: np.ndarray, spec: SparsifySpec, rng: np.random.Generator) -> np.ndarray:
+def della_drop(
+    delta: np.ndarray,
+    spec: SparsifySpec,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    draws: np.ndarray | None = None,
+) -> np.ndarray:
     """Magnitude-aware random dropping.
 
     Coordinates ranked by |delta| ascending get drop probabilities falling
@@ -168,25 +214,42 @@ def della_drop(delta: np.ndarray, spec: SparsifySpec, rng: np.random.Generator) 
     ``drop_rate - window`` (largest); survivors are rescaled per coordinate.
     With ``window=0`` every coordinate has the scalar rate ``drop_rate`` and
     no ranking is done; that is DARE's drop.
+
+    ``out``, if given, is a float64 vector of the same length that receives
+    the result; it may be ``delta`` itself.  ``draws``, if given, is a
+    float64 vector of that length used as scratch; it ends up holding the
+    uniform draws.  Callers dropping several deltas share one.  Either way
+    the bits are the same.
     """
     d = np.asarray(delta, dtype=np.float64).reshape(-1)
     n = d.size
-    if n == 0:
-        return d.copy()
+    if out is None:
+        out = np.empty(n)
+    if draws is None:
+        draws = np.empty(n)
     if spec.window == 0.0:
         p: "float | np.ndarray" = spec.drop_rate
+        np.multiply(d, 1.0 / (1.0 - p), out=out)
     else:
         hi = spec.drop_rate + spec.window
         lo = spec.drop_rate - spec.window
         if n == 1:
-            frac = np.array([0.5])
+            p = np.array([0.5])
         else:
-            ranks = np.empty(n, dtype=np.float64)
-            ranks[np.argsort(np.abs(d), kind="stable")] = np.arange(n, dtype=np.float64)
-            frac = ranks / (n - 1)
-        p = hi - (hi - lo) * frac
-    draws = rng.random(n)
-    out = d * (1.0 / (1.0 - p))
+            # the rank of |d|, scattered a block at a time so that no
+            # n-long arange is held next to the order, then the rate in place
+            order = np.argsort(np.abs(d), kind="stable")
+            p = np.empty(n)
+            for start in range(0, n, _BLOCK):
+                stop = min(n, start + _BLOCK)
+                p[order[start:stop]] = np.arange(start, stop, dtype=np.float64)
+            p /= n - 1
+        np.multiply(hi - lo, p, out=p)
+        np.subtract(hi, p, out=p)
+        np.subtract(1.0, p, out=draws)
+        np.divide(1.0, draws, out=draws)
+        np.multiply(d, draws, out=out)
+    rng.random(n, out=draws)
     out[draws < p] = 0.0
     return out
 

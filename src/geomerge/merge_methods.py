@@ -344,27 +344,31 @@ def merge_della(
     """Magnitude-aware drop-and-rescale, then lerp or ties combination.
 
     Each delta goes straight into the combination as it is made, so no list
-    of all m deltas is held.  With ``drop_rate=0`` (hence ``window=0``)
-    nothing is dropped and no random draw is made.  The ties combination
-    trims each delta into its row of one m x n stack, then elects signs and
-    takes the disjoint mean over that same stack.
+    of all m deltas is held, and is dropped in place, all drops sharing one
+    buffer of draws.  With ``drop_rate=0`` (hence ``window=0``) nothing is
+    dropped and no random draw is made.  The ties combination makes, drops
+    and trims each delta in its own row of one m x n stack, then elects
+    signs and takes the disjoint mean over that same stack.
     """
     if combine not in ("lerp", "ties"):
         raise ConfigError(f"unknown combine mode {combine!r}; expected 'lerp' or 'ties'")
     b = np.ravel(base)
     w = normalized_weights(weights, len(experts))
-    deltas = (task_vector(e, b) for e in experts)
-    if spec.drop_rate > 0.0:
-        indices = range(len(experts)) if model_indices is None else model_indices
-        deltas = (
-            della_drop(d, spec, sparsify_stream(spec.seed, tensor_name, idx))
-            for d, idx in zip(deltas, indices)
-        )
+    indices = range(len(experts)) if model_indices is None else model_indices
+    draws = np.empty(b.size) if spec.drop_rate > 0.0 else None
+
+    def delta(expert: np.ndarray, idx: int, out: np.ndarray | None = None) -> np.ndarray:
+        d = task_vector(expert, b, out=out)
+        if draws is not None:
+            rng = sparsify_stream(spec.seed, tensor_name, idx)
+            della_drop(d, spec, rng, out=d, draws=draws)
+        return d
+
     if combine == "lerp":
-        return b + weighted_sum(deltas, w)
+        return b + weighted_sum((delta(e, idx) for e, idx in zip(experts, indices)), w)
     stack = np.empty((w.size, b.size), dtype=np.float64)
-    for row, delta in zip(stack, deltas):
-        trim_topk(delta, spec.density, out=row)
+    for row, expert, idx in zip(stack, experts, indices):
+        trim_topk(delta(expert, idx, out=row), spec.density, out=row)
     return b + disjoint_merge(stack, w, elect_signs(stack, w))
 
 
@@ -700,7 +704,9 @@ def run_merge(job: MergeJob) -> MergeSummary:
                             pending.cancel()
                         _name_tensor(exc, name)
                         raise
-                    logger.warning("tensor %r failed (%s); copying fallback", name, exc)
+                    # a load error's message starts with the name the log gives
+                    reason = str(exc).removeprefix(f"tensor {name!r} in ")
+                    logger.warning("tensor %r failed (%s); copying fallback", name, reason)
                     failed.append(name)
 
         # non-mergeable names come from the first source holding them;
