@@ -17,7 +17,8 @@ import numpy as np
 from .rng import keyed_stream
 
 #: Entries per block where a loop works through a length-n vector a block at
-#: a time: :func:`disjoint_merge`'s three float64 block buffers take 384 KiB.
+#: a time: :func:`disjoint_merge`'s three float64 block buffers take 384 KiB,
+#: :func:`_select`'s index array 128 KiB.
 _BLOCK = 1 << 14
 
 
@@ -79,7 +80,9 @@ def trim_topk(
     the magnitudes keeps.  Zeros (either sign) rank below every nonzero
     magnitude and NaN below zero, each lowest index first.  Kept entries
     keep their bits (``-0.0`` and NaN payloads included); the rest become
-    ``+0.0``.
+    ``+0.0``.  No step branches per entry on the mask: the nonzero
+    magnitudes are selected by ``np.compress`` and the rest are zeroed by
+    :func:`_zero_unkept`.
 
     ``out``, if given, is a float64 vector of the same length that receives
     the result (a row of a preallocated stack); the result is returned.
@@ -99,16 +102,50 @@ def trim_topk(
     keep = mags > 0.0  # NaN compares false: NaN ranks below zero
     nonzero = int(np.count_nonzero(keep))
     if k < nonzero:
-        values = mags[keep]
+        # on an all-true mask a copy is about four times faster than compress
+        values = mags.copy() if nonzero == n else _select(keep, mags, nonzero)
         values.partition(nonzero - k)
         threshold = values[nonzero - k]
+        del values
         np.greater(mags, threshold, out=keep)
         keep[np.flatnonzero(mags == threshold)[: k - int(np.count_nonzero(keep))]] = True
     elif k > nonzero:
         zeros = np.flatnonzero(mags == 0.0)[: k - nonzero]
         keep[zeros] = True
         keep[np.flatnonzero(np.isnan(mags))[: k - nonzero - zeros.size]] = True
-    out[~keep] = 0.0
+    return _zero_unkept(out, keep)
+
+
+def _select(keep: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """``values[keep]``, which has ``count`` entries, by ``np.compress`` a
+    block of ``_BLOCK`` at a time.
+
+    A boolean subscript branches on every entry, and on a random mask the
+    CPU mispredicts about every other branch; compress gathers through an
+    index array instead.  Blocks keep that array ``_BLOCK`` long, not
+    ``count``.
+    """
+    out = np.empty(count)
+    start = 0
+    for j in range(0, keep.size, _BLOCK):
+        kept = keep[j : j + _BLOCK]
+        stop = start + int(np.count_nonzero(kept))
+        np.compress(kept, values[j : j + _BLOCK], out=out[start:stop])
+        start = stop
+    return out
+
+
+def _zero_unkept(out: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``out[~keep] = 0.0`` without a branch per entry; returns ``out``.
+
+    The float64 bits of ``out`` are multiplied, as uint64, by ``keep`` cast
+    to 1 and 0: kept entries keep their bits (``-0.0`` and NaN payloads
+    included) and the rest become +0.0.  A scatter through a random boolean
+    mask mispredicts a branch on about every other entry; this is one ufunc
+    pass.
+    """
+    bits = out.view(np.uint64)
+    np.multiply(bits, keep, out=bits)
     return out
 
 
@@ -132,8 +169,8 @@ def elect_signs(deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray) 
     """
     totals = _weighted_totals(stack_rows(deltas), np.asarray(weights, dtype=np.float64))
     negative = totals < 0.0
-    totals.fill(1.0)
-    totals[negative] = -1.0
+    np.multiply(negative, -2.0, out=totals)  # -2.0 or -0.0, with no branch
+    totals += 1.0
     return totals
 
 
@@ -161,6 +198,8 @@ def disjoint_merge(
     accumulated one row at a time, in row order from +0.0.  The columns go
     in blocks of ``_BLOCK``, so that the denominator and the products stay
     in cache and only the result is n long; no m x n temporary is built.
+    Every column is divided, and the ones without an agreeing model are
+    zeroed after, since a ``where=`` mask costs a branch per column.
     """
     mat = stack_rows(deltas)
     w = np.asarray(weights, dtype=np.float64)
@@ -187,8 +226,9 @@ def disjoint_merge(
             np.multiply(weighted, row, out=product)
             num += product
         np.greater(denom, 0.0, out=agree)
-        np.divide(num, denom, out=num, where=agree)
-        num[~agree] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(num, denom, out=num)
+        _zero_unkept(num, agree)
     return numer
 
 
@@ -217,9 +257,10 @@ def della_drop(
 
     ``out``, if given, is a float64 vector of the same length that receives
     the result; it may be ``delta`` itself.  ``draws``, if given, is a
-    float64 vector of that length used as scratch; it ends up holding the
-    uniform draws.  Callers dropping several deltas share one.  Either way
-    the bits are the same.
+    float64 vector of that length, not overlapping ``delta``, used as
+    scratch: what it holds after the call is unspecified, so callers read
+    nothing from it.  Callers dropping several deltas share one.  Either way the bits are the
+    same.  Dropped entries are zeroed by :func:`_zero_unkept`.
     """
     d = np.asarray(delta, dtype=np.float64).reshape(-1)
     n = d.size
@@ -250,8 +291,8 @@ def della_drop(
         np.divide(1.0, draws, out=draws)
         np.multiply(d, draws, out=out)
     rng.random(n, out=draws)
-    out[draws < p] = 0.0
-    return out
+    # draws lie in [0, 1) and p is finite: keeping draws >= p drops draws < p
+    return _zero_unkept(out, draws >= p)
 
 
 def stack_rows(vectors: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ Everything here is deliberately written against the file-format and math
 definitions from first principles (pure Python loops, bit twiddling, dense
 grids) so it shares no code with the package under test.  The exception is
 ``run_merge_held``, an earlier orchestration of the package's own rules,
-loads and writer, kept to compare output paths.
+loads and writer, kept to compare output paths, and the ``*_scatter``
+kernels, four ``delta_ops`` kernels as they were with boolean-mask scatters,
+kept to pin the branch-free ones byte for byte.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ from __future__ import annotations
 import json
 import math
 import struct
+from typing import Sequence
 
 import numpy as np
+
+from geomerge.delta_ops import _BLOCK, SparsifySpec, _weighted_totals, stack_rows
 
 
 # -- container format (independent writer) -----------------------------------
@@ -229,6 +234,159 @@ def ties_combine_direct(deltas: list[np.ndarray], weights: np.ndarray) -> np.nda
     numer = (weighted * mat).sum(axis=0)
     safe = np.where(denom > 0.0, denom, 1.0)
     return np.where(denom > 0.0, numer / safe, 0.0)
+
+
+def ties_combine_blocked(deltas: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """:func:`ties_combine_direct` with the weighted column sums taken by a
+    loop of ``w @ mat[:, j:j+B]``, B the largest power of two with
+    m * B < 9216.
+
+    OpenBLAS runs a gemv that small on the calling thread, and blocks a power
+    of two wide keep each column where it falls in the kernel's unrolled
+    body, so every sum, and every tied sign, is that of a single-threaded
+    ``w @ mat`` whatever the BLAS thread count.
+    """
+    mat = np.vstack([np.asarray(d, dtype=np.float64).reshape(-1) for d in deltas])
+    w = np.asarray(weights, dtype=np.float64)
+    m, n = mat.shape
+    block = 1
+    while m * block * 2 < 9216:
+        block *= 2
+    totals = np.empty(n)
+    for j in range(0, n, block):
+        totals[j : j + block] = w @ mat[:, j : j + block]
+    signs = np.where(totals < 0.0, -1.0, 1.0)
+    agree = (mat * signs[None, :]) > 0.0
+    weighted = w[:, None] * agree
+    denom = weighted.sum(axis=0)
+    numer = (weighted * mat).sum(axis=0)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    return np.where(denom > 0.0, numer / safe, 0.0)
+
+
+# -- delta kernels with boolean-mask scatters (byte references) ---------------
+
+
+def trim_topk_scatter(
+    delta: np.ndarray, density: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``delta_ops.trim_topk`` as it was with boolean-mask selection and
+    zeroing: ``mags[keep]`` and ``out[~keep] = 0.0``."""
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    d = np.asarray(delta, dtype=np.float64).reshape(-1)
+    n = d.size
+    if out is None:
+        out = d.copy()
+    else:
+        out[...] = d
+    if n == 0 or density == 1.0:
+        return out
+    k = int(np.ceil(density * n))
+    mags = np.abs(d)
+    keep = mags > 0.0  # NaN compares false: NaN ranks below zero
+    nonzero = int(np.count_nonzero(keep))
+    if k < nonzero:
+        values = mags[keep]
+        values.partition(nonzero - k)
+        threshold = values[nonzero - k]
+        np.greater(mags, threshold, out=keep)
+        keep[np.flatnonzero(mags == threshold)[: k - int(np.count_nonzero(keep))]] = True
+    elif k > nonzero:
+        zeros = np.flatnonzero(mags == 0.0)[: k - nonzero]
+        keep[zeros] = True
+        keep[np.flatnonzero(np.isnan(mags))[: k - nonzero - zeros.size]] = True
+    out[~keep] = 0.0
+    return out
+
+
+def elect_signs_scatter(
+    deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """``delta_ops.elect_signs`` as it was with a boolean-mask scatter of
+    the negative signs."""
+    totals = _weighted_totals(stack_rows(deltas), np.asarray(weights, dtype=np.float64))
+    negative = totals < 0.0
+    totals.fill(1.0)
+    totals[negative] = -1.0
+    return totals
+
+
+def disjoint_merge_scatter(
+    deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray, signs: np.ndarray
+) -> np.ndarray:
+    """``delta_ops.disjoint_merge`` as it was with a ``where=`` divide and a
+    boolean-mask zeroing of the columns no model agrees with."""
+    mat = stack_rows(deltas)
+    w = np.asarray(weights, dtype=np.float64)
+    s = np.asarray(signs, dtype=np.float64)
+    m, n = mat.shape
+    if w.shape != (m,):
+        raise ValueError(f"expected {m} weights, got shape {w.shape}")
+    if s.shape != (n,):
+        raise ValueError("signs length does not match delta length")
+    numer = np.zeros(n)
+    scratch = np.empty((3, min(n, _BLOCK)))
+    mask = np.empty(scratch.shape[1], dtype=bool)
+    for j in range(0, n, _BLOCK):
+        num, sign = numer[j : j + _BLOCK], s[j : j + _BLOCK]
+        k = num.size
+        denom, product, weighted = scratch[:, :k]
+        agree = mask[:k]
+        denom.fill(0.0)
+        for w_i, row in zip(w, mat[:, j : j + k]):
+            np.multiply(row, sign, out=product)
+            np.greater(product, 0.0, out=agree)
+            np.multiply(agree, w_i, out=weighted)
+            denom += weighted
+            np.multiply(weighted, row, out=product)
+            num += product
+        np.greater(denom, 0.0, out=agree)
+        np.divide(num, denom, out=num, where=agree)
+        num[~agree] = 0.0
+    return numer
+
+
+def della_drop_scatter(
+    delta: np.ndarray,
+    spec: SparsifySpec,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
+    draws: np.ndarray | None = None,
+) -> np.ndarray:
+    """``delta_ops.della_drop`` as it was with a boolean-mask zeroing of the
+    dropped entries."""
+    d = np.asarray(delta, dtype=np.float64).reshape(-1)
+    n = d.size
+    if out is None:
+        out = np.empty(n)
+    if draws is None:
+        draws = np.empty(n)
+    if spec.window == 0.0:
+        p: "float | np.ndarray" = spec.drop_rate
+        np.multiply(d, 1.0 / (1.0 - p), out=out)
+    else:
+        hi = spec.drop_rate + spec.window
+        lo = spec.drop_rate - spec.window
+        if n == 1:
+            p = np.array([0.5])
+        else:
+            # the rank of |d|, scattered a block at a time so that no
+            # n-long arange is held next to the order, then the rate in place
+            order = np.argsort(np.abs(d), kind="stable")
+            p = np.empty(n)
+            for start in range(0, n, _BLOCK):
+                stop = min(n, start + _BLOCK)
+                p[order[start:stop]] = np.arange(start, stop, dtype=np.float64)
+            p /= n - 1
+        np.multiply(hi - lo, p, out=p)
+        np.subtract(hi, p, out=p)
+        np.subtract(1.0, p, out=draws)
+        np.divide(1.0, draws, out=draws)
+        np.multiply(d, draws, out=out)
+    rng.random(n, out=draws)
+    out[draws < p] = 0.0
+    return out
 
 
 # -- random drop-and-rescale (the separate DARE/DELLA paths) -------------------
