@@ -17,7 +17,7 @@ import numpy as np
 from .rng import keyed_stream
 
 #: Entries per block where a loop works through a length-n vector a block at
-#: a time: :func:`disjoint_merge`'s three float64 block buffers take 384 KiB,
+#: a time: :func:`disjoint_merge`'s four float64 block buffers take 512 KiB,
 #: :func:`_select`'s index array 128 KiB.
 _BLOCK = 1 << 14
 
@@ -69,7 +69,10 @@ def task_vector(
 
 
 def trim_topk(
-    delta: np.ndarray, density: float, out: np.ndarray | None = None
+    delta: np.ndarray,
+    density: float,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Keep the ceil(density*n) largest-magnitude entries, zero the rest.
 
@@ -86,6 +89,8 @@ def trim_topk(
 
     ``out``, if given, is a float64 vector of the same length that receives
     the result (a row of a preallocated stack); the result is returned.
+    ``scratch``, if given, is a float64 vector of that length, overlapping
+    neither, that holds the magnitudes; what it holds after is unspecified.
     """
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
@@ -98,7 +103,7 @@ def trim_topk(
     if n == 0 or density == 1.0:
         return out
     k = int(np.ceil(density * n))
-    mags = np.abs(d)
+    mags = np.abs(d, out=scratch)
     keep = mags > 0.0  # NaN compares false: NaN ranks below zero
     nonzero = int(np.count_nonzero(keep))
     if k < nonzero:
@@ -149,10 +154,15 @@ def _zero_unkept(out: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def elect_signs(deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray) -> np.ndarray:
+def elect_signs(
+    deltas: Sequence[np.ndarray] | np.ndarray,
+    weights: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Per-coordinate sign of the weighted delta sum; zero sums become +1.
 
-    ``deltas`` is anything :func:`stack_rows` takes.  The sums are one
+    ``deltas`` is anything :func:`stack_rows` takes; ``out``, if given, is a
+    float64 vector that receives the signs.  The sums are one
     OpenBLAS gemv per block of B columns, B the largest power of two with
     m * B < 9216.  OpenBLAS runs a gemv that small (under 2304 times its
     default ``GEMM_MULTITHREAD_THRESHOLD`` of 4) on the calling thread; a
@@ -167,20 +177,20 @@ def elect_signs(deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray) 
     does where it splits the columns; einsum or exact sums change them
     throughout.
     """
-    totals = _weighted_totals(stack_rows(deltas), np.asarray(weights, dtype=np.float64))
+    totals = _weighted_totals(stack_rows(deltas), np.asarray(weights, dtype=np.float64), out)
     negative = totals < 0.0
     np.multiply(negative, -2.0, out=totals)  # -2.0 or -0.0, with no branch
     totals += 1.0
     return totals
 
 
-def _weighted_totals(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _weighted_totals(mat: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``w @ mat`` in the column blocks :func:`elect_signs` describes: one
     ``np.matmul`` over a (blocks, m, B) view, and one for the tail."""
     m, n = mat.shape
     block = 1 << max(0, (9215 // m).bit_length() - 1)
     full = n - n % block
-    totals = np.empty(n)
+    totals = np.empty(n) if out is None else out
     blocks = mat[:, :full].reshape(m, -1, block).transpose(1, 0, 2)
     np.matmul(w, blocks, out=totals[:full].reshape(-1, block))
     np.matmul(w, mat[:, full:], out=totals[full:])
@@ -188,7 +198,10 @@ def _weighted_totals(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def disjoint_merge(
-    deltas: Sequence[np.ndarray] | np.ndarray, weights: np.ndarray, signs: np.ndarray
+    deltas: Sequence[np.ndarray] | np.ndarray,
+    weights: np.ndarray,
+    signs: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted mean over the nonzero entries agreeing with the elected sign.
 
@@ -200,6 +213,10 @@ def disjoint_merge(
     in cache and only the result is n long; no m x n temporary is built.
     Every column is divided, and the ones without an agreeing model are
     zeroed after, since a ``where=`` mask costs a branch per column.
+
+    ``out``, if given, is a float64 vector that receives the mean; it may be
+    ``signs`` itself, since each block of signs is copied before its block of
+    the mean is begun.
     """
     mat = stack_rows(deltas)
     w = np.asarray(weights, dtype=np.float64)
@@ -209,14 +226,16 @@ def disjoint_merge(
         raise ValueError(f"expected {m} weights, got shape {w.shape}")
     if s.shape != (n,):
         raise ValueError("signs length does not match delta length")
-    numer = np.zeros(n)
-    scratch = np.empty((3, min(n, _BLOCK)))
+    numer = np.empty(n) if out is None else out
+    scratch = np.empty((4, min(n, _BLOCK)))
     mask = np.empty(scratch.shape[1], dtype=bool)
     for j in range(0, n, _BLOCK):
-        num, sign = numer[j : j + _BLOCK], s[j : j + _BLOCK]
+        num = numer[j : j + _BLOCK]
         k = num.size
-        denom, product, weighted = scratch[:, :k]
+        denom, product, weighted, sign = scratch[:, :k]
         agree = mask[:k]
+        np.copyto(sign, s[j : j + k])
+        num.fill(0.0)
         denom.fill(0.0)
         for w_i, row in zip(w, mat[:, j : j + k]):
             np.multiply(row, sign, out=product)
@@ -257,10 +276,12 @@ def della_drop(
 
     ``out``, if given, is a float64 vector of the same length that receives
     the result; it may be ``delta`` itself.  ``draws``, if given, is a
-    float64 vector of that length, not overlapping ``delta``, used as
-    scratch: what it holds after the call is unspecified, so callers read
-    nothing from it.  Callers dropping several deltas share one.  Either way the bits are the
-    same.  Dropped entries are zeroed by :func:`_zero_unkept`.
+    float64 vector of that length used as scratch: what it holds after the
+    call is unspecified, so callers read nothing from it.  Callers dropping
+    several deltas share one.  Either way the bits are the same.  ``draws``
+    may not overlap ``out``, nor ``delta`` when ``window > 0``, since the
+    delta is then read after the rates are written there; a ValueError says
+    so.  Dropped entries are zeroed by :func:`_zero_unkept`.
     """
     d = np.asarray(delta, dtype=np.float64).reshape(-1)
     n = d.size
@@ -268,6 +289,10 @@ def della_drop(
         out = np.empty(n)
     if draws is None:
         draws = np.empty(n)
+    elif np.may_share_memory(draws, out) or (
+        spec.window > 0.0 and np.may_share_memory(draws, d)
+    ):
+        raise ValueError("draws must not overlap out, nor delta when window > 0")
     if spec.window == 0.0:
         p: "float | np.ndarray" = spec.drop_rate
         np.multiply(d, 1.0 / (1.0 - p), out=out)

@@ -8,6 +8,7 @@ narrowing from f32 rounds to nearest-even.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -63,65 +64,127 @@ def _check_code(code: str) -> None:
         raise UnsupportedDTypeError(f"unsupported dtype {code!r}")
 
 
+class Workspace:
+    """Named buffers kept from call to call, for use on one thread.
+
+    :meth:`take` hands out an array of any shape and dtype in the buffer of
+    a given name.  A buffer is replaced only when a larger array is asked
+    for, so a loop over tensors allocates (and the kernel faults in) memory
+    only for a tensor larger than any before it.  Each array taken under a
+    name shares its memory with every other array taken under that name.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(
+        self, name: str, shape: int | tuple[int, ...], dtype: np.dtype | type = np.float64
+    ) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = (shape if isinstance(shape, int) else math.prod(shape)) * dtype.itemsize
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
 def bf16_to_f32(bits: np.ndarray) -> np.ndarray:
     """Widen uint16 bf16 bit patterns to float32 (exact)."""
     widened = bits.astype(np.uint32) << 16
     return widened.view(np.float32)
 
 
-def f32_to_bf16(values: np.ndarray) -> np.ndarray:
-    """Narrow float32 to uint16 bf16 bit patterns, rounding to nearest-even."""
+def f32_to_bf16(values: np.ndarray, work: Workspace | None = None) -> np.ndarray:
+    """Narrow float32 to uint16 bf16 bit patterns, rounding to nearest-even.
+
+    The temporaries and the result are taken from ``work`` (its ``u32``,
+    ``mask`` and ``words`` buffers) when it is given.
+    """
+    work = work or Workspace()
     u = np.ascontiguousarray(values, dtype=np.float32).view(np.uint32)
-    nan_mask = np.isnan(values)
-    # add 0x7FFF plus the lowest kept bit, then keep the high half; one
-    # full-length uint32 temporary, updated in place
-    rounded = u >> 16
+    # add 0x7FFF plus the lowest kept bit, then keep the high half
+    rounded = np.right_shift(u, 16, out=work.take("u32", u.shape, np.uint32))
     rounded &= 1
     rounded += 0x7FFF
     rounded += u
     rounded >>= 16
-    bits = rounded.astype(np.uint16)
-    if nan_mask.any():
+    nan = np.isnan(u.view(np.float32), out=work.take("mask", u.shape, bool))
+    if nan.any():
         # force a quiet-NaN payload instead of letting rounding flush to Inf
-        bits = np.where(nan_mask, (u >> 16).astype(np.uint16) | np.uint16(0x0040), bits)
-    return bits
+        np.right_shift(u, 16, out=rounded, where=nan)
+        np.bitwise_or(rounded, 0x0040, out=rounded, where=nan)
+    return _cast(rounded, np.uint16, work, "words")
 
 
-def decode_buffer(raw: bytes, code: str, count: int) -> np.ndarray:
+def _cast(values: np.ndarray, dtype: np.dtype | type, work: Workspace, name: str) -> np.ndarray:
+    """``values`` as ``dtype``: itself if it already is, else cast into
+    ``work``'s buffer ``name``."""
+    if values.dtype == dtype:
+        return values
+    return _copy(work.take(name, values.shape, dtype), values)
+
+
+def _copy(out: np.ndarray, values: np.ndarray) -> np.ndarray:
+    np.copyto(out, values, casting="unsafe")
+    return out
+
+
+def decode_buffer(
+    raw: bytes, code: str, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Decode ``count`` elements from a little-endian buffer.
 
     f16/bf16 are widened to float32 (value-exact); f32/f64 keep their width.
+    ``out``, if given, is a contiguous float64 vector of ``count`` entries
+    that receives the values, widened exactly, and is returned.  bf16 then
+    goes through float32 bits held in the upper half of ``out``'s own bytes:
+    widening them in place, front to back, writes each float64 below every
+    bit pattern not yet read, so no other array is made.
     """
     _check_code(code)
     arr = np.frombuffer(raw, dtype=DTYPES[code].storage, count=count)
-    if code == "bf16":
-        return bf16_to_f32(arr)
-    if code == "f16":
-        return arr.astype(np.float32)
-    return arr.astype(arr.dtype.newbyteorder("="))
+    if out is None:
+        if code == "bf16":
+            return bf16_to_f32(arr)
+        if code == "f16":
+            return arr.astype(np.float32)
+        return arr.astype(arr.dtype.newbyteorder("="))
+    with np.errstate(invalid="ignore"):  # widening a signaling NaN sets the flag
+        if code != "bf16":
+            return _copy(out, arr)
+        bits = np.left_shift(arr, 16, out=out.view(np.uint32)[count:], dtype=np.uint32)
+        return _copy(out, bits.view(np.float32))
 
 
-def encode_array(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
+def encode_array(
+    values: np.ndarray, code: str, clamp: bool = False, work: Workspace | None = None
+) -> "bytes | np.ndarray":
     """Encode a float array to the container representation of ``code``.
 
     Overflow means a finite input that is no longer finite after rounding to
     the target type.  It raises :class:`DTypeOverflowError` by default;
     with ``clamp`` the value saturates at the largest finite magnitude.
+
+    Without ``work`` the result is fresh ``bytes``.  With it, the
+    temporaries are taken from ``work`` (``f32`` staging, ``u32`` rounding,
+    ``words`` output and a ``mask``) and the result is the array of
+    encoded words: in ``work``, or ``values`` itself when it already holds
+    them.  It stays valid until ``work`` is used again.
     """
     _check_code(code)
-    storage = DTYPES[code].storage
-    flat = np.ascontiguousarray(values).reshape(-1)
-    if code == "f64":
-        return flat.astype(storage).tobytes()
-
+    buffers = work or Workspace()
+    flat = np.ravel(values)
     with np.errstate(over="ignore"):
         if code == "bf16":
-            out = f32_to_bf16(flat.astype(np.float32, copy=False))
+            words = f32_to_bf16(_cast(flat, np.float32, buffers, "f32"), buffers)
             # all exponent bits set: Inf, or NaN, which only a NaN input gives
-            overflowed = (out & 0x7F80) == 0x7F80
+            exponent = np.bitwise_and(words, 0x7F80, out=buffers.take("u32", flat.shape, np.uint16))
+            overflowed = np.equal(exponent, 0x7F80, out=buffers.take("mask", flat.shape, bool))
         else:
-            out = flat.astype(storage, copy=False)
-            overflowed = ~np.isfinite(out)
+            words = _cast(flat, np.dtype(DTYPES[code].storage), buffers, "words")
+            if code == "f64":
+                return words if work is not None else words.tobytes()
+            overflowed = np.isinf(words, out=buffers.take("mask", flat.shape, bool))
     if overflowed.any():
         overflowed &= np.isfinite(flat)
     if overflowed.any():
@@ -129,9 +192,9 @@ def encode_array(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
             culprits = flat[overflowed]
             worst = float(culprits[np.argmax(np.abs(culprits))])
             raise DTypeOverflowError(f"value {worst!r} not representable as {code}")
+        # an overflow needs a cast, so ``words`` is not ``values`` here
         saturated = np.sign(flat) * _MAX_FINITE[code]
         if code == "bf16":
-            out = np.where(overflowed, f32_to_bf16(saturated.astype(np.float32)), out)
-        else:
-            out = np.where(overflowed, saturated, out).astype(out.dtype)
-    return out.astype(storage, copy=False).tobytes()
+            saturated = f32_to_bf16(saturated.astype(np.float32))
+        np.copyto(words, saturated, where=overflowed, casting="unsafe")
+    return words if work is not None else words.tobytes()

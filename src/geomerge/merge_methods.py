@@ -185,16 +185,39 @@ def _as_f64(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(-1)
 
 
-def weighted_sum(vectors: Iterable[np.ndarray], weights: np.ndarray) -> np.ndarray:
+#: Entries per product in :func:`weighted_sum` (512 KiB).  Each block is two
+#: numpy calls, and a worker takes the GIL back after each; blocks much
+#: smaller than this leave two workers waiting on each other for it.
+_SUM_BLOCK = 1 << 16
+
+
+def weighted_sum(
+    vectors: Iterable[np.ndarray], weights: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Fixed-order float64 weighted sum (deterministic across thread counts).
 
-    The sum starts from +0.0, as a zero vector would; ``vectors`` may be a
-    generator, so only one of them need be held at a time.  Each vector is
-    widened inside its product, not copied first.
+    The sum starts from +0.0, as a zero vector would, and adds the products
+    in order; ``vectors`` may be a generator, so only one of them need be
+    held at a time.  Each vector is widened inside its product, and the
+    products are made ``_SUM_BLOCK`` entries at a time, so no n-length
+    product is.  ``out``, if given, is a float64 vector that receives the
+    sum.
     """
-    acc: Any = 0.0
+    acc = out
+    if acc is not None:
+        acc.fill(0.0)
+    product = np.empty(_SUM_BLOCK)
     for w_i, vec in zip(weights, vectors):
-        acc += np.multiply(np.ravel(vec), w_i, dtype=np.float64)
+        flat = np.ravel(vec)
+        if acc is None:
+            acc = np.zeros(flat.size)
+        if flat.size != acc.size:
+            raise ValueError(f"length mismatch: the sum has {acc.size}, a vector {flat.size}")
+        for j in range(0, acc.size, _SUM_BLOCK):
+            part = np.multiply(
+                flat[j : j + _SUM_BLOCK], w_i, out=product[: acc.size - j], dtype=np.float64
+            )
+            acc[j : j + _SUM_BLOCK] += part
     return acc
 
 
@@ -240,8 +263,10 @@ def merge_slerp(a: np.ndarray, b: np.ndarray, t: float = 0.5) -> np.ndarray:
     return direction * ((1.0 - t) * na[1] + t * nb[1])
 
 
-def merge_multislerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
-    """One tangent-space average of all source directions.
+def merge_multislerp(
+    tensors: Sequence[np.ndarray], weights: Sequence[float], *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One tangent-space average of all source directions (into ``out``, if given).
 
     Directions are averaged in the tangent space at the normalized weighted
     Euclidean mean, then mapped back and rescaled by the weighted mean of
@@ -252,26 +277,30 @@ def merge_multislerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) ->
         raise ValueError("multislerp requires at least 2 tensors")
     w = normalized_weights(weights, len(tensors))
     stack = stack_rows(tensors)
+    out = np.empty(stack.shape[1]) if out is None else out
     if _rows_equal(stack):
-        return stack[0].copy()
+        np.copyto(out, stack[0])
+        return out
     norms = _row_norms(stack)
     zero = np.flatnonzero(norms < DEGENERATE_NORM)
     if zero.size:
         raise DegenerateError(f"multislerp source {int(zero[0])} has (near-)zero norm")
     if norm(combine_rows(w / norms, stack)) < DEGENERATE_NORM:
         logger.warning("multislerp basepoint degenerate (symmetric sources); using lerp")
-        return merge_lerp(tensors, weights)
+        return weighted_sum(stack, w, out)
     # the smallest positive tol never stops the loop before its single step
     one_step = KarcherConfig(eta=1.0, tol=sys.float_info.min, max_iter=1)
-    return karcher_mean(stack, w, one_step).mean * float(w @ norms)
+    return np.multiply(karcher_mean(stack, w, one_step, out).mean, float(w @ norms), out=out)
 
 
 def merge_karcher(
     tensors: Sequence[np.ndarray],
     weights: Sequence[float],
     config: KarcherConfig | None = None,
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, SolverStats]:
-    """Norm-preserving geodesic barycenter merge.
+    """Norm-preserving geodesic barycenter merge (into ``out``, if given).
 
     Sources with degenerate norm are excluded from the spherical solve and
     their weight redistributed; if every source is degenerate the weighted
@@ -280,15 +309,17 @@ def merge_karcher(
     """
     w = normalized_weights(weights, len(tensors))
     stack = stack_rows(tensors)
+    out = np.empty(stack.shape[1]) if out is None else out
     if _rows_equal(stack):
-        return stack[0].copy(), SolverStats(0, 0.0, True)
+        np.copyto(out, stack[0])
+        return out, SolverStats(0, 0.0, True)
     norms = _row_norms(stack)
     live = norms >= DEGENERATE_NORM
     if not live.any():
-        return weighted_sum(stack, w), SolverStats(0, 0.0, True)
-    result = karcher_mean(stack if live.all() else stack[live], w[live], config)
+        return weighted_sum(stack, w, out), SolverStats(0, 0.0, True)
+    result = karcher_mean(stack if live.all() else stack[live], w[live], config, out)
     stats = SolverStats(result.iterations, result.residual, result.converged)
-    return result.mean * float(w @ np.where(live, norms, 0.0)), stats
+    return np.multiply(result.mean, float(w @ np.where(live, norms, 0.0)), out=out), stats
 
 
 def merge_task_arithmetic(
@@ -296,11 +327,15 @@ def merge_task_arithmetic(
     experts: Sequence[np.ndarray],
     weights: Sequence[float],
     scaling: float = 1.0,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """base + scaling * weighted mean of expert deltas."""
+    """base + scaling * weighted mean of expert deltas (into ``out``, if given)."""
     b = np.ravel(base)
     w = normalized_weights(weights, len(experts))
-    return b + scaling * weighted_sum((task_vector(e, b) for e in experts), w)
+    acc = weighted_sum((task_vector(e, b) for e in experts), w, out)
+    np.multiply(acc, scaling, out=acc)
+    return np.add(b, acc, out=acc)
 
 
 def merge_ties(
@@ -340,36 +375,54 @@ def merge_della(
     combine: str = "lerp",
     tensor_name: str = "",
     model_indices: Sequence[int] | None = None,
+    *,
+    out: np.ndarray | None = None,
+    overwrite_experts: bool = False,
 ) -> np.ndarray:
     """Magnitude-aware drop-and-rescale, then lerp or ties combination.
 
-    Each delta goes straight into the combination as it is made, so no list
-    of all m deltas is held, and is dropped in place, all drops sharing one
-    buffer of draws.  With ``drop_rate=0`` (hence ``window=0``) nothing is
-    dropped and no random draw is made.  The ties combination makes, drops
-    and trims each delta in its own row of one m x n stack, then elects
-    signs and takes the disjoint mean over that same stack.
+    Each delta is dropped in place, all drops sharing one buffer of draws.
+    With ``drop_rate=0`` (hence ``window=0``) nothing is dropped and no
+    random draw is made.  The ties combination makes, drops and trims each
+    delta in its own row of one m x n stack, then elects signs and takes
+    the disjoint mean over that same stack; the result buffer serves in
+    turn as the draws, the trim's scratch and the signs.  The lerp
+    combination sums each delta as it is made, so no list of all m deltas
+    is held, unless ``overwrite_experts`` gives it the stack to make them in.
+
+    ``out``, if given, is a float64 vector that receives the result.  With
+    ``overwrite_experts`` an m x n float64 ``experts`` array is that stack:
+    the deltas are made in its own rows, and its values are lost.
     """
     if combine not in ("lerp", "ties"):
         raise ConfigError(f"unknown combine mode {combine!r}; expected 'lerp' or 'ties'")
     b = np.ravel(base)
     w = normalized_weights(weights, len(experts))
     indices = range(len(experts)) if model_indices is None else model_indices
-    draws = np.empty(b.size) if spec.drop_rate > 0.0 else None
+    out = np.empty(b.size) if out is None else out
 
-    def delta(expert: np.ndarray, idx: int, out: np.ndarray | None = None) -> np.ndarray:
-        d = task_vector(expert, b, out=out)
-        if draws is not None:
+    def delta(expert: np.ndarray, idx: int, draws: np.ndarray, row: Any = None) -> np.ndarray:
+        d = task_vector(expert, b, out=row)
+        if spec.drop_rate > 0.0:
             rng = sparsify_stream(spec.seed, tensor_name, idx)
             della_drop(d, spec, rng, out=d, draws=draws)
         return d
 
-    if combine == "lerp":
-        return b + weighted_sum((delta(e, idx) for e, idx in zip(experts, indices)), w)
-    stack = np.empty((w.size, b.size), dtype=np.float64)
+    if combine == "lerp" and not overwrite_experts:
+        # out holds the running sum, so the draws need a buffer of their own
+        draws = np.empty(b.size if spec.drop_rate > 0.0 else 0)
+        weighted_sum((delta(e, idx, draws) for e, idx in zip(experts, indices)), w, out)
+        return np.add(b, out, out=out)
+    stack = stack_rows(experts) if overwrite_experts else np.empty((w.size, b.size))
     for row, expert, idx in zip(stack, experts, indices):
-        trim_topk(delta(expert, idx, out=row), spec.density, out=row)
-    return b + disjoint_merge(stack, w, elect_signs(stack, w))
+        delta(expert, idx, out, row)
+        if combine == "ties":
+            trim_topk(row, spec.density, out=row, scratch=out)
+    if combine == "lerp":
+        weighted_sum(stack, w, out)
+    else:
+        disjoint_merge(stack, w, elect_signs(stack, w, out), out)
+    return np.add(b, out, out=out)
 
 
 def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.ndarray:
@@ -403,9 +456,11 @@ def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.nda
 # -- method registry -----------------------------------------------------------
 
 #: A rule merges one tensor: (parameter lookup, tensor name, source flats,
-#: base flat or None, normalized weights) -> merged flat, or (merged flat,
-#: SolverStats) for the barycenter solver.
-Rule = Callable[[Callable[[str], Any], str, list, Any, np.ndarray], Any]
+#: base flat or None, normalized weights, out=None) -> merged flat, or
+#: (merged flat, SolverStats) for the barycenter solver.  Given ``out`` (as
+#: ``run_merge`` does), the flats are an m x n float64 stack that the rule
+#: may overwrite, and a rule that can writes its result into ``out``.
+Rule = Callable[..., Any]
 
 
 @dataclass(frozen=True)
@@ -431,10 +486,14 @@ def _delta_method(*reads: str) -> MethodSpec:
     ``density`` combines by TIES."""
     combine = "ties" if "density" in reads else "lerp"
 
-    def rule(p: Callable[[str], Any], name: str, flats: list, base: Any, w: np.ndarray) -> Any:
+    def rule(
+        p: Callable[[str], Any], name: str, flats: Any, base: Any, w: np.ndarray, out: Any = None
+    ) -> Any:
         drop = {key: p(key) if key in reads else 0.0 for key in ("drop_rate", "window")}
         spec = SparsifySpec(density=p("density"), seed=p("seed"), **drop)
-        return merge_della(base, flats, w, spec, combine, name)
+        return merge_della(
+            base, flats, w, spec, combine, name, out=out, overwrite_experts=out is not None
+        )
 
     return MethodSpec(reads, rule, needs_base=True)
 
@@ -442,23 +501,27 @@ def _delta_method(*reads: str) -> MethodSpec:
 METHODS: dict[str, MethodSpec] = {
     "karcher": MethodSpec(
         ("eta", "tol", "max_iter"),
-        lambda p, name, flats, base, w: merge_karcher(
-            flats, w, KarcherConfig(eta=p("eta"), tol=p("tol"), max_iter=p("max_iter"))
+        lambda p, name, flats, base, w, out=None: merge_karcher(
+            flats, w, KarcherConfig(eta=p("eta"), tol=p("tol"), max_iter=p("max_iter")), out=out
         ),
     ),
-    "lerp": MethodSpec((), lambda p, name, flats, base, w: merge_lerp(flats, w)),
+    "lerp": MethodSpec((), lambda p, name, flats, base, w, out=None: merge_lerp(flats, w)),
     "slerp": MethodSpec(
         ("t",),
-        lambda p, name, flats, base, w: merge_slerp(flats[0], flats[1], p("t")),
+        lambda p, name, flats, base, w, out=None: merge_slerp(flats[0], flats[1], p("t")),
         min_sources=2,
         max_sources=2,
     ),
     "multislerp": MethodSpec(
-        (), lambda p, name, flats, base, w: merge_multislerp(flats, w), min_sources=2
+        (),
+        lambda p, name, flats, base, w, out=None: merge_multislerp(flats, w, out=out),
+        min_sources=2,
     ),
     "task_arithmetic": MethodSpec(
         ("lambda",),
-        lambda p, name, flats, base, w: merge_task_arithmetic(base, flats, w, p("lambda")),
+        lambda p, name, flats, base, w, out=None: merge_task_arithmetic(
+            base, flats, w, p("lambda"), out=out
+        ),
         needs_base=True,
     ),
     "ties": _delta_method("density"),
@@ -468,7 +531,7 @@ METHODS: dict[str, MethodSpec] = {
     "della_ties": _delta_method("drop_rate", "window", "density", "seed"),
     "model_stock": MethodSpec(
         (),
-        lambda p, name, flats, base, w: merge_model_stock(base, flats),
+        lambda p, name, flats, base, w, out=None: merge_model_stock(base, flats),
         needs_base=True,
         min_sources=2,
     ),
@@ -588,25 +651,34 @@ def run_merge(job: MergeJob) -> MergeSummary:
     for name in skipped:
         logger.warning("tensor %r is not mergeable; copying from the first source", name)
 
-    def merge_one(name: str) -> tuple[np.ndarray, TensorStats, list[np.ndarray]]:
-        """The merged flat, its stats, and the decoded inputs it came from."""
-        records = [h.load_tensor(name, job.precision, strict=True) for h in sources]
-        flats = [rec.flat() for rec in records]
-        base_flat = (
-            job.base.load_tensor(name, job.precision, strict=True).flat()
-            if method.needs_base
-            else None
-        )
+    def merge_one(name: str, work: dtypes.Workspace) -> tuple[np.ndarray, TensorStats]:
+        """The merged flat, which may be ``work``'s, and its stats.
+
+        Each source, then the base, is decoded into its row of one float64
+        stack in ``work``; the rule may overwrite the source rows and write
+        its result into ``work``'s ``out`` vector.
+        """
+        shape = sources[0].shape(name)
+        count = math.prod(shape)
+        stack = work.take("stack", (len(align_set), count))
+        for handle, row in zip(align_set, stack):
+            handle.load_tensor(name, job.precision, strict=True, out=row)
+        flats = stack[: len(sources)]
+        base_flat = stack[-1] if method.needs_base else None
+        # taken before the rule may turn the rows into deltas, checked after
+        norm_in = [norm(f) for f in flats]
         # an overflow or invalid operation shows as a non-finite entry below
         with np.errstate(over="ignore", invalid="ignore"):
-            out = method.spec.rule(method.param, name, flats, base_flat, weights)
+            out = method.spec.rule(
+                method.param, name, flats, base_flat, weights, out=work.take("out", count)
+            )
         merged, stats = out if isinstance(out, tuple) else (out, None)
         tensor_stats = TensorStats(
             name=name,
             iterations=stats.iterations if stats else None,
             residual=stats.residual if stats else None,
             converged=stats.converged if stats else None,
-            norm_in=[norm(f) for f in flats],
+            norm_in=norm_in,
             norm_out=norm(merged),
         )
         # a norm is finite when every entry is, unless it exceeds float64's range
@@ -622,9 +694,9 @@ def run_merge(job: MergeJob) -> MergeSummary:
             )
         logger.debug(
             "merged tensor %r (%s) norm %.6g", name,
-            "x".join(map(str, records[0].shape)) or "scalar", tensor_stats.norm_out,
+            "x".join(map(str, shape)) or "scalar", tensor_stats.norm_out,
         )
-        return merged, tensor_stats, flats
+        return merged, tensor_stats
 
     def donor(name: str, donors: Sequence[CheckpointHandle | None]) -> CheckpointHandle:
         # every output name is held by at least one source
@@ -637,7 +709,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
     # its donor's.  Where a numeric fallback's donor, a base the method does
     # not read, holds the name in another shape, the shape depends on
     # whether the merge fails; those tensors (non-strict runs only) are
-    # merged first and held until their turn.
+    # merged first, each in a workspace of its own, and held until their turn.
     shapes = {name: sources[0].shape(name) for name in mergeable}
     shapes.update({name: donor(name, sources).shape(name) for name in skipped})
     early: dict[str, Any] = {}
@@ -645,7 +717,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
         for name in mergeable:
             if name in job.base and job.base.shape(name) != shapes[name]:
                 try:
-                    early[name] = merge_one(name)
+                    early[name] = merge_one(name, dtypes.Workspace())
                 except Exception as exc:
                     early[name] = exc
                     shapes[name] = job.base.shape(name)
@@ -661,26 +733,18 @@ def run_merge(job: MergeJob) -> MergeSummary:
         except Exception as exc:
             write_errors[name] = exc
 
-    held = threading.local()
+    # each worker's buffers, reused from tensor to tensor and dropped with
+    # the pool's threads
+    workspaces = threading.local()
 
     def merge_and_put(name: str) -> TensorStats:
         result = early.pop(name, None)
         if isinstance(result, Exception):
             raise result
-        merged, stats, inputs = result if result is not None else merge_one(name)
+        if result is None:
+            result = merge_one(name, workspaces.__dict__.setdefault("work", dtypes.Workspace()))
+        merged, stats = result
         put(name, merged)
-        # Memory is kept so that malloc does not hand it back to the kernel
-        # between tensors, only for the next tensor to fault it in afresh.
-        # Each worker keeps its largest result so far until it has written
-        # one at least as large, as the writer keeps its largest encoded
-        # buffer; a small tensor after a large one would otherwise free it.
-        # The decoded inputs live until the result is written, so that the
-        # encode does not reuse their memory.  On a 384-tensor bf16 lerp
-        # (2-core host) that gives a median of 18k minor faults per run;
-        # keeping neither took 330k, and freeing the inputs before the
-        # encode 56k-133k.  Keeping the inputs longer only raised peak memory.
-        if merged.size >= getattr(held, "size", 0):
-            held.merged, held.size = merged, merged.size
         return stats
 
     per_tensor: list[TensorStats] = []

@@ -194,9 +194,9 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b, dtype=np.float64))
 
 
-def combine_rows(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``sum_i coef_i * rows[i]``, accumulated in row order."""
-    return np.einsum("i,ij->j", coef, rows)
+def combine_rows(coef: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_i coef_i * rows[i]``, accumulated in row order (into ``out``, if given)."""
+    return np.einsum("i,ij->j", coef, rows, out=out)
 
 
 def row_dots(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -252,13 +252,15 @@ def _at_iterate(
     w: np.ndarray,
     antipodal_eps: float,
     iteration: int,
+    out: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Rebuild the iterate in n-space and measure the stationarity residual there.
+    """Rebuild the iterate in n-space (in ``out``, if given) and measure the
+    stationarity residual there.
 
     Returns (x, beta, gamma, residual) with x re-normalized by its n-space norm
     and gamma the tangent-mean coefficients from n-space dot products.
     """
-    x = combine_rows(beta * inv_norms, pts)
+    x = combine_rows(beta * inv_norms, pts, out)
     x_norm = norm(x)
     x /= x_norm
     beta = beta / x_norm
@@ -271,6 +273,7 @@ def karcher_mean(
     points: "np.ndarray | list[np.ndarray]",
     weights: np.ndarray,
     config: KarcherConfig | None = None,
+    out: np.ndarray | None = None,
 ) -> KarcherResult:
     """Weighted geodesic barycenter of unit vectors via fixed-point iteration.
 
@@ -282,7 +285,8 @@ def karcher_mean(
 
     The iterate is kept as coefficients on the points and the loop runs on
     their Gram matrix; see the module docstring.  A 2-D float64 ``points``
-    array is used as given, without a copy.
+    array is used as given, without a copy.  ``out``, if given, is a float64
+    vector that receives the mean.
     """
     cfg = config or KarcherConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -318,7 +322,7 @@ def karcher_mean(
         last = iteration == cfg.max_iter
         if last or r2 < cfg.tol**2 + slack * float(np.abs(gamma).sum()) ** 2:
             x, beta, gamma, residual = _at_iterate(
-                pts, inv_norms, beta, w, cfg.antipodal_eps, iteration
+                pts, inv_norms, beta, w, cfg.antipodal_eps, iteration, out
             )
             if residual < cfg.tol or last:
                 return KarcherResult(

@@ -261,7 +261,11 @@ class CheckpointHandle:
     # -- payload ----------------------------------------------------------
 
     def load_tensor(
-        self, name: str, precision: str = "f32", strict: bool = True
+        self,
+        name: str,
+        precision: str = "f32",
+        strict: bool = True,
+        out: np.ndarray | None = None,
     ) -> TensorRecord:
         """Load one tensor converted to the working precision.
 
@@ -270,23 +274,44 @@ class CheckpointHandle:
         :class:`NonFiniteError`, and finite f64 values beyond the working
         precision's range raise :class:`DTypeOverflowError`; without it they
         load as Inf.
+
+        ``out``, if given, is a contiguous float64 vector with one entry per
+        element.  The payload is decoded straight into it, as float64 at
+        either precision: an f64 payload loaded at f32 is rounded through
+        float32 in place.  The record's data is then ``out`` in the tensor's
+        shape, with the values and errors the default load gives.
         """
         entry = self._entry(name)
         target = working_dtype(precision)
+        count = math.prod(entry.shape)
+        if out is not None and not (
+            out.dtype == np.float64 and out.shape == (count,) and out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a contiguous float64 vector of {count} entries, "
+                f"got {out.dtype} of shape {out.shape}"
+            )
         if entry.nbytes:
             raw = _pread(self._fd, entry.nbytes, self._data_start + entry.offset)
             if len(raw) != entry.nbytes:
                 raise ContainerError(
                     f"malformed container {self.path}: truncated payload for {name!r}"
                 )
-            count = math.prod(entry.shape)
-            values = dtypes.decode_buffer(raw, entry.code, count)
+            values = dtypes.decode_buffer(raw, entry.code, count, out)
         else:
-            values = np.empty(0, dtype=target)
+            values = np.empty(0, dtype=target) if out is None else out
         # narrowing f64 to f32 turns a finite value beyond f32's range into Inf
         with np.errstate(over="ignore"):
-            arr = values.astype(target, copy=False).reshape(entry.shape)
+            if out is None:
+                arr = values.astype(target, copy=False)
+            elif entry.code == "f64" and target != np.float64:
+                arr = np.positive(out, out=out, dtype=target)
+            else:
+                arr = out
+        arr = arr.reshape(entry.shape)
         if strict and not np.isfinite(arr).all():
+            if out is not None:  # the values before any narrowing
+                values = dtypes.decode_buffer(raw, entry.code, count)
             if not np.isfinite(values).all():
                 raise NonFiniteError(f"tensor {name!r} in {self.path} contains NaN/Inf")
             worst = float(values[np.argmax(np.abs(values))])
@@ -383,7 +408,7 @@ class CheckpointWriter:
         self._data_start = _HEADER_PREFIX_LEN + len(header_bytes)
         self._written: set[str] = set()
         self._lock = threading.Lock()
-        self._held = threading.local()
+        self._local = threading.local()  # each thread's encode buffers
 
         self.path = Path(path)
         # A fresh random name per writer (128 bits, as in a uuid4), so
@@ -399,8 +424,8 @@ class CheckpointWriter:
             self.abort()
             raise
 
-    def _write_at(self, raw: bytes, offset: int) -> None:
-        view = memoryview(raw)
+    def _write_at(self, raw: "bytes | np.ndarray", offset: int) -> None:
+        view = memoryview(raw).cast("B")
         while view:
             written = os.pwrite(self._fd, view, offset)
             view = view[written:]
@@ -411,28 +436,22 @@ class CheckpointWriter:
 
         A value outside the output dtype's range raises
         :class:`DTypeOverflowError` naming the tensor (or saturates when
-        ``clamp_overflow`` is set).
+        ``clamp_overflow`` is set).  Each thread encodes into buffers of its
+        own, kept for its next tensor, and writes from them.
         """
         offset, nbytes = self._spans[name]
+        work = self._local.__dict__.setdefault("work", dtypes.Workspace())
         try:
-            raw = dtypes.encode_array(array, self.output_dtype, self.clamp_overflow)
+            words = dtypes.encode_array(array, self.output_dtype, self.clamp_overflow, work)
         except DTypeOverflowError as exc:
             raise DTypeOverflowError(f"tensor {name!r}: {exc}") from None
-        if len(raw) != nbytes:
+        if words.nbytes != nbytes:
             raise ValueError(
-                f"tensor {name!r} encodes to {len(raw)} bytes, its layout holds {nbytes}"
+                f"tensor {name!r} encodes to {words.nbytes} bytes, its layout holds {nbytes}"
             )
-        self._write_at(raw, self._data_start + offset)
+        self._write_at(words, self._data_start + offset)
         with self._lock:
             self._written.add(name)
-        # Each thread keeps its largest buffer so far until it has encoded
-        # one at least as large.  Freed any sooner, it leaves free memory at
-        # the top of the heap, which malloc hands back to the kernel, so the
-        # next tensor's encode temporaries fault in afresh: on a 384-tensor
-        # bf16 write (2-core host) that was 2.3x the minor faults and 10%
-        # more wall time.
-        if len(raw) >= len(getattr(self._held, "raw", b"")):
-            self._held.raw = raw
 
     def commit(self) -> None:
         """Sync the file and rename it over the output path."""
