@@ -333,7 +333,9 @@ def merge_task_arithmetic(
     """base + scaling * weighted mean of expert deltas (into ``out``, if given)."""
     b = np.ravel(base)
     w = normalized_weights(weights, len(experts))
-    acc = weighted_sum((task_vector(e, b) for e in experts), w, out)
+    # one buffer for every task vector: each is summed before the next is made
+    delta = np.empty(b.size)
+    acc = weighted_sum((task_vector(e, b, out=delta) for e in experts), w, out)
     np.multiply(acc, scaling, out=acc)
     return np.add(b, acc, out=acc)
 
@@ -409,9 +411,11 @@ def merge_della(
         return d
 
     if combine == "lerp" and not overwrite_experts:
-        # out holds the running sum, so the draws need a buffer of their own
+        # out holds the running sum, so the draws need a buffer of their own;
+        # one buffer serves every delta, each summed before the next is made
         draws = np.empty(b.size if spec.drop_rate > 0.0 else 0)
-        weighted_sum((delta(e, idx, draws) for e, idx in zip(experts, indices)), w, out)
+        row = np.empty(b.size)
+        weighted_sum((delta(e, idx, draws, row) for e, idx in zip(experts, indices)), w, out)
         return np.add(b, out, out=out)
     stack = stack_rows(experts) if overwrite_experts else np.empty((w.size, b.size))
     for row, expert, idx in zip(stack, experts, indices):
