@@ -183,7 +183,7 @@ def test_reused_buffers_leave_no_stale_data(mixed, method):
     assert skipped == (sorted(EARLY) if METHODS[method].needs_base else [])
 
 
-# -- regression guard: the second tensor allocates no stack or result ------------
+# -- regression guard: the second tensor allocates no stack or encode buffers -----
 
 N = 1 << 17
 
