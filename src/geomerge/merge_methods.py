@@ -25,7 +25,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -206,11 +206,13 @@ def weighted_sum(
     acc = out
     if acc is not None:
         acc.fill(0.0)
-    product = np.empty(_SUM_BLOCK)
+    product = None
     for w_i, vec in zip(weights, vectors):
         flat = np.ravel(vec)
         if acc is None:
             acc = np.zeros(flat.size)
+        if product is None:
+            product = np.empty(min(acc.size, _SUM_BLOCK))
         if flat.size != acc.size:
             raise ValueError(f"length mismatch: the sum has {acc.size}, a vector {flat.size}")
         for j in range(0, acc.size, _SUM_BLOCK):
@@ -379,7 +381,6 @@ def merge_della(
     model_indices: Sequence[int] | None = None,
     *,
     out: np.ndarray | None = None,
-    overwrite_experts: bool = False,
 ) -> np.ndarray:
     """Magnitude-aware drop-and-rescale, then lerp or ties combination.
 
@@ -390,17 +391,19 @@ def merge_della(
     the disjoint mean over that same stack; the result buffer serves in
     turn as the draws, the trim's scratch and the signs.  The lerp
     combination sums each delta as it is made, so no list of all m deltas
-    is held, unless ``overwrite_experts`` gives it the stack to make them in.
+    is held.
 
-    ``out``, if given, is a float64 vector that receives the result.  With
-    ``overwrite_experts`` an m x n float64 ``experts`` array is that stack:
-    the deltas are made in its own rows, and its values are lost.
+    ``out``, if given, is a float64 vector that receives the result, and
+    the deltas are then made in the rows of ``experts`` itself when it is
+    an m x n float64 array (as ``run_merge`` passes its workspace), whose
+    values are lost.  Without ``out`` no argument is modified.
     """
     if combine not in ("lerp", "ties"):
         raise ConfigError(f"unknown combine mode {combine!r}; expected 'lerp' or 'ties'")
     b = np.ravel(base)
     w = normalized_weights(weights, len(experts))
     indices = range(len(experts)) if model_indices is None else model_indices
+    stack = None if out is None else stack_rows(experts)
     out = np.empty(b.size) if out is None else out
 
     def delta(expert: np.ndarray, idx: int, draws: np.ndarray, row: Any = None) -> np.ndarray:
@@ -410,22 +413,20 @@ def merge_della(
             della_drop(d, spec, rng, out=d, draws=draws)
         return d
 
-    if combine == "lerp" and not overwrite_experts:
+    if combine == "lerp":
         # out holds the running sum, so the draws need a buffer of their own;
-        # one buffer serves every delta, each summed before the next is made
+        # each delta is summed before the next is made, in its own row of
+        # the given stack or else in one buffer that serves every delta
         draws = np.empty(b.size if spec.drop_rate > 0.0 else 0)
-        row = np.empty(b.size)
-        weighted_sum((delta(e, idx, draws, row) for e, idx in zip(experts, indices)), w, out)
+        rows = repeat(np.empty(b.size)) if stack is None else stack
+        deltas = (delta(e, idx, draws, row) for e, row, idx in zip(experts, rows, indices))
+        weighted_sum(deltas, w, out)
         return np.add(b, out, out=out)
-    stack = stack_rows(experts) if overwrite_experts else np.empty((w.size, b.size))
+    stack = np.empty((w.size, b.size)) if stack is None else stack
     for row, expert, idx in zip(stack, experts, indices):
         delta(expert, idx, out, row)
-        if combine == "ties":
-            trim_topk(row, spec.density, out=row, scratch=out)
-    if combine == "lerp":
-        weighted_sum(stack, w, out)
-    else:
-        disjoint_merge(stack, w, elect_signs(stack, w, out), out)
+        trim_topk(row, spec.density, out=row, scratch=out)
+    disjoint_merge(stack, w, elect_signs(stack, w, out), out)
     return np.add(b, out, out=out)
 
 
@@ -495,9 +496,7 @@ def _delta_method(*reads: str) -> MethodSpec:
     ) -> Any:
         drop = {key: p(key) if key in reads else 0.0 for key in ("drop_rate", "window")}
         spec = SparsifySpec(density=p("density"), seed=p("seed"), **drop)
-        return merge_della(
-            base, flats, w, spec, combine, name, out=out, overwrite_experts=out is not None
-        )
+        return merge_della(base, flats, w, spec, combine, name, out=out)
 
     return MethodSpec(reads, rule, needs_base=True)
 
