@@ -241,6 +241,11 @@ def _toy_forward_layers(weights_path: Path, spec_path: Path) -> list[ActivationM
             raise ConfigError(
                 f"{spec_path}: layers[{i}] must be a mapping with 'weight' and optional 'bias'"
             )
+        for key, tensor in entry.items():
+            if not isinstance(tensor, str) or tensor not in ckpt:
+                raise ConfigError(
+                    f"{spec_path}: layers[{i}] {key} {tensor!r} is not a tensor in {weights_path}"
+                )
         w = ckpt[entry["weight"]].data
         if w.ndim != 2:
             raise ConfigError(f"{spec_path}: layers[{i}] weight {entry['weight']!r} must be 2-D")

@@ -9,6 +9,7 @@ narrowing from f32 rounds to nearest-even.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -64,14 +65,14 @@ def _check_code(code: str) -> None:
         raise UnsupportedDTypeError(f"unsupported dtype {code!r}")
 
 
-class Workspace:
-    """Named buffers kept from call to call, for use on one thread.
+class Workspace(threading.local):
+    """Named buffers kept from call to call, a separate set per thread.
 
-    :meth:`take` hands out an array of any shape and dtype in the buffer of
-    a given name.  A buffer is replaced only when a larger array is asked
-    for, so a loop over tensors allocates (and the kernel faults in) memory
-    only for a tensor larger than any before it.  Each array taken under a
-    name shares its memory with every other array taken under that name.
+    :meth:`take` hands out an array of any shape and dtype in the calling
+    thread's buffer of a given name.  A buffer is replaced only when a larger
+    array is asked for, so a loop over tensors allocates (and the kernel
+    faults in) memory only for a tensor larger than any before it.  Each
+    array taken under a name on a thread shares its memory with every other.
     """
 
     def __init__(self) -> None:
@@ -86,12 +87,6 @@ class Workspace:
         if buf is None or buf.size < nbytes:
             buf = self._buffers[name] = np.empty(nbytes, np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
-
-
-def bf16_to_f32(bits: np.ndarray) -> np.ndarray:
-    """Widen uint16 bf16 bit patterns to float32 (exact)."""
-    widened = bits.astype(np.uint32) << 16
-    return widened.view(np.float32)
 
 
 def f32_to_bf16(values: np.ndarray, work: Workspace | None = None) -> np.ndarray:
@@ -132,28 +127,31 @@ def _copy(out: np.ndarray, values: np.ndarray) -> np.ndarray:
 def decode_buffer(
     raw: bytes, code: str, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Decode ``count`` elements from a little-endian buffer.
+    """Decode ``count`` elements from a little-endian buffer into ``out``.
 
-    f16/bf16 are widened to float32 (value-exact); f32/f64 keep their width.
-    ``out``, if given, is a contiguous float64 vector of ``count`` entries
-    that receives the values, widened exactly, and is returned.  bf16 then
-    goes through float32 bits held in the upper half of ``out``'s own bytes:
-    widening them in place, front to back, writes each float64 below every
-    bit pattern not yet read, so no other array is made.
+    ``out``, a contiguous float32 or float64 vector of ``count`` entries, is
+    returned holding the values in its dtype.  Without it, float64 is made
+    for f64 and float32, which holds every f16/bf16 value, for the rest.
+    f16 and bf16 widen to float32 first (NaN bits too); a float64 ``out``
+    takes those in the upper half of its own bytes and widens them in place,
+    front to back, each float64 below every bit pattern not yet read.
     """
     _check_code(code)
     arr = np.frombuffer(raw, dtype=DTYPES[code].storage, count=count)
     if out is None:
-        if code == "bf16":
-            return bf16_to_f32(arr)
-        if code == "f16":
-            return arr.astype(np.float32)
-        return arr.astype(arr.dtype.newbyteorder("="))
-    with np.errstate(invalid="ignore"):  # widening a signaling NaN sets the flag
-        if code != "bf16":
-            return _copy(out, arr)
-        bits = np.left_shift(arr, 16, out=out.view(np.uint32)[count:], dtype=np.uint32)
-        return _copy(out, bits.view(np.float32))
+        out = np.empty(count, np.float64 if code == "f64" else np.float32)
+    narrow = out.dtype == np.float64 and code in ("f16", "bf16")
+    staged = out.view(np.float32)[count:] if narrow else out
+    # narrowing f64 to float32 may overflow; widening a signaling NaN sets
+    # the invalid flag
+    with np.errstate(over="ignore", invalid="ignore"):
+        if code == "bf16":  # its bits are the high half of a float32's
+            np.left_shift(arr, 16, out=staged.view(np.uint32), dtype=np.uint32)
+        else:
+            _copy(staged, arr)
+        if staged is not out:
+            _copy(out, staged)
+    return out
 
 
 def encode_array(

@@ -20,7 +20,6 @@ import logging
 import math
 import os
 import sys
-import threading
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -738,21 +737,24 @@ def run_merge(job: MergeJob) -> MergeSummary:
 
     # each worker's buffers, reused from tensor to tensor and dropped with
     # the pool's threads
-    workspaces = threading.local()
+    work = dtypes.Workspace()
 
     def merge_and_put(name: str) -> TensorStats:
         result = early.pop(name, None)
         if isinstance(result, Exception):
             raise result
         if result is None:
-            result = merge_one(name, workspaces.__dict__.setdefault("work", dtypes.Workspace()))
+            result = merge_one(name, work)
         merged, stats = result
         put(name, merged)
         return stats
 
     per_tensor: list[TensorStats] = []
     failed: list[str] = []
-    max_workers = job.threads or os.cpu_count() or 1
+    # by default one worker per CPU this process may run on (its affinity
+    # mask, as taskset or a cpuset sets it), where the platform reports one
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    max_workers = job.threads or (len(cpus) if cpus else os.cpu_count() or 1)
     with out:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             todo = iter(mergeable)

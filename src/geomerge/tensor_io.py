@@ -275,8 +275,9 @@ class CheckpointHandle:
         precision's range raise :class:`DTypeOverflowError`; without it they
         load as Inf.
 
-        ``out``, if given, is a contiguous float64 vector with one entry per
-        element.  The payload is decoded straight into it, as float64 at
+        The payload is decoded straight into one array: a fresh one of the
+        working precision, or ``out``.  ``out``, if given, is a contiguous
+        float64 vector with one entry per element, which holds float64 at
         either precision: an f64 payload loaded at f32 is rounded through
         float32 in place.  The record's data is then ``out`` in the tensor's
         shape, with the values and errors the default load gives.
@@ -284,9 +285,9 @@ class CheckpointHandle:
         entry = self._entry(name)
         target = working_dtype(precision)
         count = math.prod(entry.shape)
-        if out is not None and not (
-            out.dtype == np.float64 and out.shape == (count,) and out.flags.c_contiguous
-        ):
+        if out is None:
+            out = np.empty(count, target)
+        elif not (out.dtype == np.float64 and out.shape == (count,) and out.flags.c_contiguous):
             raise ValueError(
                 f"out must be a contiguous float64 vector of {count} entries, "
                 f"got {out.dtype} of shape {out.shape}"
@@ -297,21 +298,15 @@ class CheckpointHandle:
                 raise ContainerError(
                     f"malformed container {self.path}: truncated payload for {name!r}"
                 )
-            values = dtypes.decode_buffer(raw, entry.code, count, out)
-        else:
-            values = np.empty(0, dtype=target) if out is None else out
-        # narrowing f64 to f32 turns a finite value beyond f32's range into Inf
-        with np.errstate(over="ignore"):
-            if out is None:
-                arr = values.astype(target, copy=False)
-            elif entry.code == "f64" and target != np.float64:
-                arr = np.positive(out, out=out, dtype=target)
-            else:
-                arr = out
-        arr = arr.reshape(entry.shape)
+            dtypes.decode_buffer(raw, entry.code, count, out)
+            if entry.code == "f64" and out.dtype != target:
+                # a finite value beyond f32's range becomes Inf
+                with np.errstate(over="ignore"):
+                    np.positive(out, out=out, dtype=target)
+        arr = out.reshape(entry.shape)
         if strict and not np.isfinite(arr).all():
-            if out is not None:  # the values before any narrowing
-                values = dtypes.decode_buffer(raw, entry.code, count)
+            # only an f64 payload can hold a finite value that loads as Inf
+            values = np.frombuffer(raw, "<f8") if entry.code == "f64" else arr
             if not np.isfinite(values).all():
                 raise NonFiniteError(f"tensor {name!r} in {self.path} contains NaN/Inf")
             worst = float(values[np.argmax(np.abs(values))])
@@ -408,7 +403,7 @@ class CheckpointWriter:
         self._data_start = _HEADER_PREFIX_LEN + len(header_bytes)
         self._written: set[str] = set()
         self._lock = threading.Lock()
-        self._local = threading.local()  # each thread's encode buffers
+        self._work = dtypes.Workspace()  # each thread's encode buffers
 
         self.path = Path(path)
         # A fresh random name per writer (128 bits, as in a uuid4), so
@@ -440,9 +435,8 @@ class CheckpointWriter:
         own, kept for its next tensor, and writes from them.
         """
         offset, nbytes = self._spans[name]
-        work = self._local.__dict__.setdefault("work", dtypes.Workspace())
         try:
-            words = dtypes.encode_array(array, self.output_dtype, self.clamp_overflow, work)
+            words = dtypes.encode_array(array, self.output_dtype, self.clamp_overflow, self._work)
         except DTypeOverflowError as exc:
             raise DTypeOverflowError(f"tensor {name!r}: {exc}") from None
         if words.nbytes != nbytes:

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written against the file-format and math
 definitions from first principles (pure Python loops, bit twiddling, dense
-grids) so it shares no code with the package under test.  The exception is
-``run_merge_held``, an earlier orchestration of the package's own rules,
-loads and writer, kept to compare output paths, and the ``*_scatter``
-kernels, four ``delta_ops`` kernels as they were with boolean-mask scatters,
-kept to pin the branch-free ones byte for byte.
+grids) so it shares no code with the package under test.  The exceptions
+are ``run_merge_held``, an earlier orchestration of the package's own rules,
+loads and writer, kept to compare output paths; the ``*_scatter`` kernels,
+four ``delta_ops`` kernels as they were with boolean-mask scatters, kept to
+pin the branch-free ones byte for byte; and ``decode_buffer_direct``, the
+allocating payload decode, kept to pin the one that decodes in place.
 """
 
 from __future__ import annotations
@@ -433,6 +434,18 @@ def _f32_to_bf16_direct(values: np.ndarray) -> np.ndarray:
     if nan_mask.any():
         bits = np.where(nan_mask, (u >> 16).astype(np.uint16) | np.uint16(0x0040), bits)
     return bits
+
+
+def decode_buffer_direct(raw: bytes, code: str, count: int) -> np.ndarray:
+    """Container payload to a fresh array, as ``dtypes.decode_buffer`` made
+    it before it decoded into a given one: f16 cast to float32, bf16 bits
+    shifted into the high half of float32 words, f32 and f64 at their width."""
+    arr = np.frombuffer(raw, dtype=_STORAGE[code], count=count)
+    if code == "bf16":
+        return (arr.astype(np.uint32) << 16).view(np.float32)
+    if code == "f16":
+        return arr.astype(np.float32)
+    return arr.astype(arr.dtype.newbyteorder("="))
 
 
 def encode_array_direct(values: np.ndarray, code: str, clamp: bool = False) -> bytes:

@@ -241,6 +241,29 @@ class TestDiagnose:
         assert rc == 1
         assert "nonlinearty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "layers,key,shown",
+        [
+            ("[nope]", "weight", "'nope'"),
+            ("[{weight: w, bias: nope}]", "bias", "'nope'"),
+            ("[{weight: [w]}]", "weight", "['w']"),
+            ("[{weight: w, bias: 3}]", "bias", "3"),
+        ],
+        ids=["missing-weight", "missing-bias", "list-weight", "int-bias"],
+    )
+    def test_toy_forward_bad_tensor_name_exit_1(self, tmp_path, capsys, layers, key, shown):
+        weights = tmp_path / "w.st"
+        write_checkpoint(weights, [TensorRecord("w", np.ones((2, 2)))])
+        spec = tmp_path / "toy.yaml"
+        spec.write_text(f"layers: {layers}\n")
+        rc = main(["diagnose", str(weights), "--toy-forward", str(spec),
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {spec}: layers[0] {key} {shown} is not a tensor in {weights}\n"
+        )
+        assert not (tmp_path / "o.json").exists()
+
     def test_zero_feature_layer_exit_3_names_layer(self, tmp_path, capsys):
         write_checkpoint(
             tmp_path / "acts.st",

@@ -191,6 +191,27 @@ class TestRunMergeStreams:
         assert written == names[:5]  # every earlier tensor reached the file
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.st", "b.st", "r.yaml"]
 
+    def test_the_default_pool_follows_the_cpu_affinity(self, tmp_path, monkeypatch):
+        names = [f"w{i:02d}" for i in range(8)]
+        _sources(tmp_path, names)
+        recipe = _recipe(tmp_path, tmp_path / "m.st")
+        assert main(["merge", str(recipe), "--threads", "2"]) == 0
+        want = (tmp_path / "m.st").read_bytes()
+        workers: set[int] = set()
+        real_lerp = merge_methods.merge_lerp
+
+        def lerp(tensors, weights):
+            workers.add(threading.get_ident())
+            time.sleep(0.01)  # room for a second worker, were there one, to take a tensor
+            return real_lerp(tensors, weights)
+
+        monkeypatch.setattr(merge_methods, "merge_lerp", lerp)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["merge", str(recipe)]) == 0
+        assert len(workers) == 1
+        assert (tmp_path / "m.st").read_bytes() == want
+
     @pytest.mark.parametrize("threads", [2, 3])
     def test_at_most_two_tensors_per_worker_in_flight(self, tmp_path, monkeypatch, threads):
         names = [f"w{i:02d}" for i in range(16)]
