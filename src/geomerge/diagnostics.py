@@ -10,7 +10,7 @@ against their sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -19,8 +19,6 @@ from .errors import AlignmentError, NonFiniteError
 from .rng import keyed_stream
 from .sphere import DEGENERATE_NORM, norm, normalized_weights
 from .tensor_io import Checkpoint
-
-METRIC_NAMES = ("mean_variance", "eff_rank", "stable_rank", "participation_ratio", "num_rank")
 
 NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda z: z,
@@ -62,14 +60,9 @@ class SpectralStats:
     participation_ratio: float
     num_rank: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "mean_variance": self.mean_variance,
-            "eff_rank": self.eff_rank,
-            "stable_rank": self.stable_rank,
-            "participation_ratio": self.participation_ratio,
-            "num_rank": float(self.num_rank),
-        }
+
+#: The metric names, in report order: the fields of :class:`SpectralStats`.
+METRIC_NAMES = tuple(f.name for f in fields(SpectralStats))
 
 
 def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
@@ -233,16 +226,14 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
         raise ValueError(f"draws must be >= 1, got {draws}")
     x = activations.samples
     n = x.shape[0]
-    values = {metric: np.empty(draws) for metric in METRIC_NAMES}
+    # a row per metric, a column per draw
+    table = np.empty((len(METRIC_NAMES), draws))
     for k in range(draws):
         rng = keyed_stream(seed, f"bootstrap:{activations.label}", k)
         idx = rng.integers(0, n, size=n)
-        stats = spectral_stats(x[idx]).as_dict()
-        for metric in METRIC_NAMES:
-            values[metric][k] = stats[metric]
+        table[:, k] = astuple(spectral_stats(x[idx]))
     metrics = {}
-    for metric in METRIC_NAMES:
-        vals = values[metric]
+    for metric, vals in zip(METRIC_NAMES, table):
         std = float(np.std(vals, ddof=1)) if draws > 1 else 0.0
         metrics[metric] = {"mean": float(vals.mean()), "std": std}
     return LayerDiagnostics(
@@ -253,10 +244,9 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
 def diagnostics_report(
     layers: Sequence[ActivationMatrix], draws: int, seed: int
 ) -> DiagnosticsReport:
-    report = DiagnosticsReport(draws=draws, seed=seed)
-    for layer in layers:
-        report.layers.append(bootstrap_stats(layer, draws, seed))
-    return report
+    return DiagnosticsReport(
+        draws=draws, seed=seed, layers=[bootstrap_stats(layer, draws, seed) for layer in layers]
+    )
 
 
 def toy_forward_collect(

@@ -539,8 +539,6 @@ METHODS: dict[str, MethodSpec] = {
     ),
 }
 
-MERGE_KINDS = tuple(METHODS)
-
 
 # -- streaming orchestrator --------------------------------------------------
 

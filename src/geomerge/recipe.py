@@ -18,7 +18,7 @@ import yaml
 
 from . import dtypes
 from .errors import ConfigError
-from .merge_methods import MERGE_KINDS, MergeMethod
+from .merge_methods import METHODS, MergeMethod
 
 _TOP_KEYS = {"method", "models", "base_model", "parameters", "output"}
 _MODEL_KEYS = {"path", "weight"}
@@ -107,7 +107,10 @@ def _apply_override(raw: dict[str, Any], item: str, source: str) -> None:
     node: Any = raw
     for seg in segments[:-1]:
         if isinstance(node, list):
-            node = _index_into(node, seg, item, source)
+            idx = _list_index(node, seg, item, source)
+            if node is raw.get("models") and isinstance(node[idx], str):
+                node[idx] = {"path": node[idx]}  # the mapping form of a plain path
+            node = node[idx]
         elif isinstance(node, dict):
             node = node.setdefault(seg, {})
         else:
@@ -120,10 +123,6 @@ def _apply_override(raw: dict[str, Any], item: str, source: str) -> None:
         node[leaf] = value
     else:
         raise ConfigError(f"{source}: override {item!r} descends into a scalar")
-
-
-def _index_into(node: list, seg: str, item: str, source: str) -> Any:
-    return node[_list_index(node, seg, item, source)]
 
 
 def _list_index(node: list, seg: str, item: str, source: str) -> int:
@@ -145,15 +144,15 @@ def _validate(raw: dict[str, Any], source: str) -> MergeRecipe:
             raise ConfigError(f"{source}: missing required key {key!r}")
 
     kind = raw["method"]
-    if not isinstance(kind, str) or kind not in MERGE_KINDS:
-        raise ConfigError(
-            f"{source}: method must be one of {', '.join(MERGE_KINDS)}, got {kind!r}"
-        )
+    if not isinstance(kind, str) or kind not in METHODS:
+        raise ConfigError(f"{source}: method must be one of {', '.join(METHODS)}, got {kind!r}")
 
     models = _validate_models(raw["models"], source)
     base_model = raw.get("base_model")
-    if base_model is not None and not isinstance(base_model, str):
-        raise ConfigError(f"{source}: base_model must be a path string")
+    if base_model is not None:
+        if not isinstance(base_model, str):
+            raise ConfigError(f"{source}: base_model must be a path string")
+        base_model = _file_path(base_model, "base_model", source)
 
     method, precision, strict = _validate_params(kind, raw.get("parameters") or {}, source)
     out_path, out_dtype = _validate_output(raw["output"], source)
@@ -167,7 +166,7 @@ def _validate(raw: dict[str, Any], source: str) -> MergeRecipe:
         models=models,
         output_path=out_path,
         output_dtype=out_dtype,
-        base_model=Path(base_model) if base_model else None,
+        base_model=base_model,
         precision=precision,
         strict=strict,
         source=source,
@@ -199,7 +198,8 @@ def _validate_models(node: Any, source: str) -> list[ModelEntry]:
             raise ConfigError(
                 f"{source}: models[{i}]: weight must be a finite number, got {weight}"
             )
-        entries.append(ModelEntry(path=Path(entry["path"]), weight=weight))
+        path = _file_path(entry["path"], f"models[{i}].path", source)
+        entries.append(ModelEntry(path=path, weight=weight))
     total = sum(e.weight for e in entries)
     if total <= 0:
         raise ConfigError(f"{source}: model weights must not all be zero")
@@ -239,4 +239,13 @@ def _validate_output(node: Any, source: str) -> tuple[Path, str]:
     dtype = node.get("dtype", "f32")
     if not isinstance(dtype, str) or dtype not in dtypes.DTYPES:
         raise ConfigError(f"{source}: output.dtype must be one of {sorted(dtypes.DTYPES)}")
-    return Path(node["path"]), dtype
+    return _file_path(node["path"], "output.path", source), dtype
+
+
+def _file_path(text: str, key: str, source: str) -> Path:
+    """``text`` as a path, which must end in a file name: ``''``, ``'.'``,
+    ``'/'`` and ``'..'`` name a directory."""
+    path = Path(text)
+    if path.name in ("", ".."):
+        raise ConfigError(f"{source}: {key} must name a file, got {text!r}")
+    return path

@@ -36,6 +36,13 @@ DEGENERATE_NORM = 1e-12
 
 _ZERO_ANGLE = 1e-12
 
+#: Points whose cosine is within this of -1 count as antipodal, where the
+#: geodesic between them is not unique.
+ANTIPODAL_EPS = 1e-8
+
+#: ``sphere_exp`` rejects a velocity whose dot with ``p`` exceeds this times its norm.
+_TANGENCY_TOL = 1e-6
+
 
 @dataclass
 class KarcherConfig:
@@ -44,7 +51,7 @@ class KarcherConfig:
     eta: float = 1.0
     tol: float = 1e-6
     max_iter: int = 50
-    antipodal_eps: float = 1e-8
+    antipodal_eps: float = ANTIPODAL_EPS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta <= 1.0:
@@ -93,16 +100,16 @@ def geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def sphere_log(p: np.ndarray, q: np.ndarray, antipodal_eps: float = 1e-8) -> np.ndarray:
+def sphere_log(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Tangent vector at ``p`` pointing along the geodesic to ``q``.
 
     The result is orthogonal to ``p`` with norm equal to the geodesic
     distance.  Raises :class:`AntipodalError` when the points are antipodal
-    up to ``antipodal_eps`` (the direction is then undefined).
+    up to :data:`ANTIPODAL_EPS` (the direction is then undefined).
     """
     p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     c = float(np.clip(inner(p64, q64), -1.0, 1.0))
-    if c <= -1.0 + antipodal_eps:
+    if c <= -1.0 + ANTIPODAL_EPS:
         raise AntipodalError("log map undefined for (near-)antipodal points")
     theta = float(np.arccos(c))
     if theta < _ZERO_ANGLE:
@@ -114,7 +121,7 @@ def sphere_log(p: np.ndarray, q: np.ndarray, antipodal_eps: float = 1e-8) -> np.
     return residual * (theta / rnorm)
 
 
-def sphere_exp(p: np.ndarray, v: np.ndarray, tangency_tol: float = 1e-6) -> np.ndarray:
+def sphere_exp(p: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Follow the geodesic from ``p`` with initial velocity ``v``.
 
     ``v`` must be tangent at ``p``; the output is re-normalized to the
@@ -124,20 +131,20 @@ def sphere_exp(p: np.ndarray, v: np.ndarray, tangency_tol: float = 1e-6) -> np.n
     n = norm(v64)
     if n < _ZERO_ANGLE:
         return p64.copy()
-    if abs(inner(p64, v64)) > tangency_tol * n:
+    if abs(inner(p64, v64)) > _TANGENCY_TOL * n:
         raise ValueError("exp map requires a tangent vector (<p, v> != 0)")
     out = np.cos(n) * p64 + np.sin(n) * (v64 / n)
     return out / norm(out)
 
 
-def slerp(p: np.ndarray, q: np.ndarray, t: float, antipodal_eps: float = 1e-8) -> np.ndarray:
+def slerp(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
     """Constant-speed geodesic interpolation between unit vectors.
 
     Falls back to normalized linear interpolation when the angle vanishes.
     """
     p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     c = float(np.clip(inner(p64, q64), -1.0, 1.0))
-    if c <= -1.0 + antipodal_eps:
+    if c <= -1.0 + ANTIPODAL_EPS:
         raise AntipodalError("slerp undefined for (near-)antipodal points")
     theta = float(np.arccos(c))
     if theta < _ZERO_ANGLE:

@@ -6,8 +6,10 @@ grids) so it shares no code with the package under test.  The exceptions
 are ``run_merge_held``, an earlier orchestration of the package's own rules,
 loads and writer, kept to compare output paths; the ``*_scatter`` kernels,
 four ``delta_ops`` kernels as they were with boolean-mask scatters, kept to
-pin the branch-free ones byte for byte; and ``decode_buffer_direct``, the
-allocating payload decode, kept to pin the one that decodes in place.
+pin the branch-free ones byte for byte; ``decode_buffer_direct``, the
+allocating payload decode, kept to pin the one that decodes in place; and
+``bootstrap_stats_per_metric``, the bootstrap summary as it was with one
+array per named metric, kept to pin the one-table form.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from geomerge.delta_ops import _BLOCK, SparsifySpec, _weighted_totals, stack_rows
+from geomerge.diagnostics import spectral_stats
+from geomerge.rng import keyed_stream
 
 
 # -- container format (independent writer) -----------------------------------
@@ -193,6 +197,38 @@ def covariance_spectrum_direct(samples: np.ndarray) -> np.ndarray:
     cov = centered.T @ centered / (x.shape[0] - 1)
     eig = np.linalg.eigvalsh(cov)
     return np.clip(eig, 0.0, None)[::-1]
+
+
+def bootstrap_stats_per_metric(
+    samples: np.ndarray, label: str, draws: int, seed: int
+) -> dict[str, dict[str, float]]:
+    """Each metric's bootstrap mean and std, its draws gathered by name.
+
+    The package's ``bootstrap_stats`` as it was before its draws went into
+    one table: each draw's five summaries go through a dict into one array
+    per metric, ``num_rank`` as a float.
+    """
+    names = ("mean_variance", "eff_rank", "stable_rank", "participation_ratio", "num_rank")
+    n = samples.shape[0]
+    values = {metric: np.empty(draws) for metric in names}
+    for k in range(draws):
+        rng = keyed_stream(seed, f"bootstrap:{label}", k)
+        stats = spectral_stats(samples[rng.integers(0, n, size=n)])
+        as_dict = {
+            "mean_variance": stats.mean_variance,
+            "eff_rank": stats.eff_rank,
+            "stable_rank": stats.stable_rank,
+            "participation_ratio": stats.participation_ratio,
+            "num_rank": float(stats.num_rank),
+        }
+        for metric in names:
+            values[metric][k] = as_dict[metric]
+    metrics = {}
+    for metric in names:
+        vals = values[metric]
+        std = float(np.std(vals, ddof=1)) if draws > 1 else 0.0
+        metrics[metric] = {"mean": float(vals.mean()), "std": std}
+    return metrics
 
 
 # -- full-sort TIES trim and m x n sign election (reference combine) ----------

@@ -1,0 +1,121 @@
+"""The Karcher solver's rarer branches: degenerate sources, a degenerate
+chord, the iteration cap, a single model, and the n-space check that
+overrules the Gram estimate."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from geomerge import sphere
+from geomerge.cli import main
+from geomerge.merge_methods import SolverStats, merge_karcher
+from geomerge.sphere import KarcherConfig, karcher_mean
+from geomerge.tensor_io import TensorRecord, read_checkpoint, write_checkpoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_every_source_degenerate_gives_the_weighted_mean():
+    merged, stats = merge_karcher([np.full(4, 1e-14), [1e-14, -1e-14, 2e-14, 0.0]], np.ones(2))
+    np.testing.assert_array_equal(merged, [1e-14, 0.0, 1.5e-14, 5e-15])
+    assert stats == SolverStats(0, 0.0, True)
+
+
+def test_degenerate_chord_starts_from_the_heaviest_point():
+    # three unit vectors 120 degrees apart: their chord is zero, and the first
+    # point (the first of the equal weights) is already stationary
+    angles = np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+    pts = np.stack([np.cos(angles), np.sin(angles), np.zeros(3)], axis=1)
+    result = karcher_mean(pts, np.ones(3))
+    np.testing.assert_array_equal(result.mean, pts[0])
+    assert result.iterations == 0
+    assert result.converged
+
+
+def _write_sources(root: Path, count: int, seed: int = 4) -> list[Path]:
+    rng = np.random.default_rng(seed)
+    paths = []
+    for i in range(count):
+        paths.append(root / f"s{i}.st")
+        records = [
+            TensorRecord(name, rng.standard_normal(shape).astype(np.float32))
+            for name, shape in (("a", (8, 16)), ("b", (40,)))
+        ]
+        write_checkpoint(paths[-1], records)
+    return paths
+
+
+def _recipe(root: Path, method: str, models: list[Path], params: str = "{}") -> Path:
+    path = root / f"{method}.yaml"
+    path.write_text(
+        f"method: {method}\nmodels: [{', '.join(map(str, models))}]\n"
+        f"parameters: {params}\noutput: {{path: {root / (method + '.st')}}}\n"
+    )
+    return path
+
+
+def test_max_iter_warning_reaches_stderr(tmp_path):
+    recipe = _recipe(tmp_path, "karcher", _write_sources(tmp_path, 3), "{max_iter: 1}")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "geomerge.cli", "merge", str(recipe)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "karcher.st.summary.json").read_text())
+    assert [(t["iterations"], t["converged"]) for t in summary["per_tensor"]] == [(1, False)] * 2
+    for t in summary["per_tensor"]:
+        warning = f"barycenter solver hit max_iter (residual {t['residual']:.3e})"
+        assert f"tensor {t['name']!r}: {warning}" in proc.stderr
+
+
+def test_one_model_and_no_base(tmp_path, capsys):
+    (source,) = _write_sources(tmp_path, 1)
+    for method in ("lerp", "karcher"):
+        assert main(["merge", str(_recipe(tmp_path, method, [source]))]) == 0
+        assert "merged 2 tensors (0 skipped)" in capsys.readouterr().out
+    want = read_checkpoint(source)
+    got = read_checkpoint(tmp_path / "karcher.st")
+    assert got.names() == want.names()
+    for name in want.names():
+        assert got[name].data.tobytes() == want[name].data.tobytes()
+
+
+def test_n_space_residual_overrules_the_gram_estimate(monkeypatch):
+    """A tolerance just below the smallest residual the solver reaches:
+    where the Gram estimate calls an iterate converged but the n-space
+    residual is not below ``tol``, the solver iterates on."""
+    real = sphere._at_iterate
+    calls: list[tuple[int, float]] = []
+
+    def spy(*args):
+        found = real(*args)
+        calls.append((args[5], found[3]))  # (iteration, n-space residual)
+        return found
+
+    monkeypatch.setattr(sphere, "_at_iterate", spy)
+    max_iter = 100
+    overruled = 0
+    for seed in range(4):
+        pts = np.random.default_rng(seed).standard_normal((3, 50))
+        floor = karcher_mean(pts, np.ones(3), KarcherConfig(tol=1e-300, max_iter=max_iter))
+        for k in range(5, 10):
+            tol = floor.residual * (1.0 - 10.0**-k)
+            calls.clear()
+            result = karcher_mean(pts, np.ones(3), KarcherConfig(tol=tol, max_iter=max_iter))
+            assert result.converged == (result.residual < tol)
+            assert calls[-1] == (result.iterations, result.residual)
+            overruled += sum(it < max_iter and residual >= tol for it, residual in calls)
+    assert overruled
