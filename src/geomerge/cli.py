@@ -10,12 +10,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import logging
+import math
+import os
 import re
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -23,6 +26,7 @@ import yaml
 from .diagnostics import (
     ActivationMatrix,
     NONLINEARITIES,
+    check_layer_shapes,
     diagnostics_report,
     toy_forward_collect,
 )
@@ -40,7 +44,7 @@ from .merge_methods import MergeJob, run_merge
 from .recipe import load_recipe, load_yaml
 from .rng import keyed_stream
 from .sphere import norm
-from .tensor_io import open_checkpoint, read_checkpoint
+from .tensor_io import CheckpointHandle, open_checkpoint
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -168,11 +172,16 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.draws < 1:
         raise ConfigError("--draws must be >= 1")
-    if args.toy_forward is not None:
-        layers = _toy_forward_layers(args.input, args.toy_forward)
-    else:
-        layers = _activation_layers(args.input)
-    report = diagnostics_report(layers, draws=args.draws, seed=args.seed)
+    for path in (args.out, args.csv):
+        if path is not None and path.is_dir():  # refused before any draw, not at the write
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    spec = None if args.toy_forward is None else _toy_forward_spec(args.toy_forward)
+    with open_checkpoint(args.input) as handle:
+        if spec is None:
+            layers = _activation_layers(handle)
+        else:
+            layers = _toy_forward_layers(handle, args.toy_forward, *spec)
+        report = diagnostics_report(layers, draws=args.draws, seed=args.seed)
     args.out.write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -185,25 +194,36 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _activation_layers(path: Path) -> list[ActivationMatrix]:
-    ckpt = read_checkpoint(path, precision="f64")
-    indexed: list[tuple[int, ActivationMatrix]] = []
-    for name in ckpt.names():
+def _load_f64(handle: CheckpointHandle, name: str) -> np.ndarray:
+    """``name`` at float64, read straight into a fresh array of its own."""
+    out = np.empty(math.prod(handle.shape(name)))
+    return handle.load_tensor(name, precision="f64", out=out).data
+
+
+def _activation_layers(handle: CheckpointHandle) -> Iterator[ActivationMatrix]:
+    """Every name and shape is checked from the header; the layers are then
+    loaded one at a time, in ``k`` order."""
+    path = handle.path
+    indexed: list[tuple[int, str]] = []
+    for name in handle.names():
         match = _LAYER_NAME.match(name)
         if not match:
             raise ConfigError(
                 f"{path}: activation tensors must be named layer_<k>, found {name!r}"
             )
-        data = ckpt[name].data
-        if data.ndim != 2:
+        if len(handle.shape(name)) != 2:
             raise ConfigError(f"{path}: tensor {name!r} must be 2-D (samples x features)")
-        indexed.append((int(match.group(1)), ActivationMatrix(label=name, samples=data)))
+        indexed.append((int(match.group(1)), name))
     if not indexed:
         raise ConfigError(f"{path}: no layer_<k> tensors found")
-    return [layer for _, layer in sorted(indexed, key=lambda kv: kv[0])]
+    return (
+        ActivationMatrix(label=name, samples=_load_f64(handle, name))
+        for _, name in sorted(indexed, key=lambda kv: kv[0])
+    )
 
 
-def _toy_forward_layers(weights_path: Path, spec_path: Path) -> list[ActivationMatrix]:
+def _toy_forward_spec(spec_path: Path) -> tuple[str, int, int, list]:
+    """The spec's nonlinearity, samples, seed and raw layer entries."""
     try:
         raw = load_yaml(spec_path.read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -230,10 +250,28 @@ def _toy_forward_layers(weights_path: Path, spec_path: Path) -> list[ActivationM
     layer_specs = raw.get("layers")
     if not isinstance(layer_specs, list) or not layer_specs:
         raise ConfigError(f"{spec_path}: layers must be a non-empty list")
+    return nonlinearity, samples, seed, layer_specs
 
-    ckpt = read_checkpoint(weights_path, precision="f64")
-    weights: list[np.ndarray] = []
-    biases: list[np.ndarray | None] = []
+
+def _toy_forward_layers(
+    handle: CheckpointHandle,
+    spec_path: Path,
+    nonlinearity: str,
+    samples: int,
+    seed: int,
+    layer_specs: list,
+) -> Iterator[ActivationMatrix]:
+    """The spec's Gaussian inputs pushed through the stack, layer by layer,
+    with the bits of one :func:`toy_forward_collect` call over the whole stack.
+
+    The spec is checked against the header (names, 2-D weights, the shapes
+    along the stack) before any payload is read.  Each weight (and bias) is
+    then read when its layer is reached and dropped after its matmul, and
+    layer ``k - 1`` is handed on once layer ``k`` is made: beyond the
+    forward's temporaries, one layer's weights and two layers' activations
+    are held at most.
+    """
+    layers: list[tuple[str, str | None]] = []
     for i, entry in enumerate(layer_specs):
         if isinstance(entry, str):
             entry = {"weight": entry}
@@ -242,19 +280,36 @@ def _toy_forward_layers(weights_path: Path, spec_path: Path) -> list[ActivationM
                 f"{spec_path}: layers[{i}] must be a mapping with 'weight' and optional 'bias'"
             )
         for key, tensor in entry.items():
-            if not isinstance(tensor, str) or tensor not in ckpt:
+            if not isinstance(tensor, str) or tensor not in handle:
                 raise ConfigError(
-                    f"{spec_path}: layers[{i}] {key} {tensor!r} is not a tensor in {weights_path}"
+                    f"{spec_path}: layers[{i}] {key} {tensor!r} is not a tensor in {handle.path}"
                 )
-        w = ckpt[entry["weight"]].data
-        if w.ndim != 2:
+        if len(handle.shape(entry["weight"])) != 2:
             raise ConfigError(f"{spec_path}: layers[{i}] weight {entry['weight']!r} must be 2-D")
-        weights.append(w)
-        biases.append(ckpt[entry["bias"]].data.reshape(-1) if "bias" in entry else None)
+        layers.append((entry["weight"], entry.get("bias")))
+    width = handle.shape(layers[0][0])[0]
+    for k, (weight, bias) in enumerate(layers, start=1):
+        shape = handle.shape(weight)
+        check_layer_shapes(k, width, shape, None if bias is None else math.prod(handle.shape(bias)))
+        width = shape[1]
 
     rng = keyed_stream(seed, "toy-forward-input", 0)
-    inputs = rng.standard_normal((samples, weights[0].shape[0]))
-    return toy_forward_collect(weights, inputs, nonlinearity=nonlinearity, biases=biases)
+    below: ActivationMatrix | None = None  # the last layer made, not yet handed on
+    for k, (weight, bias) in enumerate(layers, start=1):
+        w = _load_f64(handle, weight)
+        b = None if bias is None else _load_f64(handle, bias)
+        # the first payload is read before the inputs are drawn
+        x = rng.standard_normal((samples, w.shape[0])) if below is None else below.samples
+        try:
+            inputs, layer = toy_forward_collect([w], x, nonlinearity=nonlinearity, biases=[b])
+        except (ValueError, NonFiniteError) as exc:  # a one-layer call names its layer layer_1
+            raise type(exc)(str(exc).replace("'layer_1'", f"'layer_{k}'")) from None
+        del w, b, x
+        layer.label = f"layer_{k}"
+        yield inputs if below is None else below
+        del inputs
+        below = layer
+    yield below
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -219,8 +219,9 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
     """Resample rows with replacement and summarize each metric.
 
     Draw ``k`` uses the stream keyed by (seed, "bootstrap:<label>", k), so
-    reports are bit-identical across runs and thread counts; rows (samples)
-    are resampled, never features.
+    reports are bit-identical across runs for a given BLAS build and thread
+    setting (the eigensolve's bits can change with the BLAS thread count);
+    rows (samples) are resampled, never features.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -242,11 +243,37 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
 
 
 def diagnostics_report(
-    layers: Sequence[ActivationMatrix], draws: int, seed: int
+    layers: Iterable[ActivationMatrix], draws: int, seed: int
 ) -> DiagnosticsReport:
-    return DiagnosticsReport(
-        draws=draws, seed=seed, layers=[bootstrap_stats(layer, draws, seed) for layer in layers]
-    )
+    """Bootstrap every layer, in order.
+
+    Each layer is let go before the next is taken from ``layers``, so a
+    generator that makes its layers one at a time is never asked to keep
+    more than the ones it holds itself.
+    """
+    report = DiagnosticsReport(draws=draws, seed=seed)
+    for layer in layers:
+        report.layers.append(bootstrap_stats(layer, draws, seed))
+        del layer
+    return report
+
+
+def check_layer_shapes(
+    k: int, width: int, weight_shape: Sequence[int], bias_size: int | None = None
+) -> None:
+    """Raise the forward's ``ValueError`` unless layer ``k``'s (d_in, d_out)
+    weight takes activations ``width`` features wide and its bias, if any,
+    has d_out entries."""
+    if len(weight_shape) != 2 or weight_shape[0] != width:
+        raise ValueError(
+            f"shape mismatch at layer {k}: activations are n x {width}, "
+            f"weight is {'x'.join(map(str, weight_shape))}"
+        )
+    if bias_size is not None and bias_size != weight_shape[1]:
+        raise ValueError(
+            f"shape mismatch at layer {k}: bias has {bias_size} entries, "
+            f"expected {weight_shape[1]}"
+        )
 
 
 def toy_forward_collect(
@@ -273,19 +300,11 @@ def toy_forward_collect(
     collected = [ActivationMatrix(label="layer_0", samples=x)]
     for k, weight in enumerate(layer_weights, start=1):
         w = np.asarray(weight, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != x.shape[1]:
-            raise ValueError(
-                f"shape mismatch at layer {k}: activations are n x {x.shape[1]}, "
-                f"weight is {'x'.join(map(str, w.shape))}"
-            )
-        z = x @ w
         bias = biases[k - 1] if biases is not None else None
-        if bias is not None:
-            b = np.asarray(bias, dtype=np.float64).reshape(-1)
-            if b.size != w.shape[1]:
-                raise ValueError(
-                    f"shape mismatch at layer {k}: bias has {b.size} entries, expected {w.shape[1]}"
-                )
+        b = None if bias is None else np.asarray(bias, dtype=np.float64).reshape(-1)
+        check_layer_shapes(k, x.shape[1], w.shape, None if b is None else b.size)
+        z = x @ w
+        if b is not None:
             z = z + b
         x = fn(z)
         collected.append(ActivationMatrix(label=f"layer_{k}", samples=x))

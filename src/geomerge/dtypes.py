@@ -135,6 +135,8 @@ def decode_buffer(
     f16 and bf16 widen to float32 first (NaN bits too); a float64 ``out``
     takes those in the upper half of its own bytes and widens them in place,
     front to back, each float64 below every bit pattern not yet read.
+    ``raw`` may be ``out``'s own bytes: all of them for f64, the upper half
+    for f32, and the first quarter for f16 and bf16.
     """
     _check_code(code)
     arr = np.frombuffer(raw, dtype=DTYPES[code].storage, count=count)

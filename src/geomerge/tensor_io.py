@@ -7,16 +7,19 @@ the end of the header) plus an optional ``"__metadata__"`` string map, then
 the concatenated little-endian row-major buffers.
 
 ``open_checkpoint`` parses only the header; tensor payloads are fetched on
-demand with positional reads (``os.pread``), so concurrent ``load_tensor``
+demand with positional reads (``os.pread``, or ``os.preadv`` into an array
+the caller gives), so concurrent ``load_tensor``
 calls on distinct names do not serialize on a shared file offset.  Handles
 are immutable after open.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
+import stat
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,9 +114,23 @@ class _Entry:
     nbytes: int
 
 
-def _pread(fd: int, size: int, offset: int) -> bytes:
-    """All payload byte-range reads funnel through here (patchable in tests)."""
-    return os.pread(fd, size, offset)
+def _pread(
+    fd: int, size: int, offset: int, into: np.ndarray | None = None
+) -> "bytes | np.ndarray":
+    """All payload byte-range reads funnel through here (patchable in tests).
+
+    Returns the bytes read, fresh, or with ``into``, a writable uint8 array
+    of ``size`` entries, fills it (``os.preadv``) and returns the part filled.
+    """
+    if into is None:
+        return os.pread(fd, size, offset)
+    done = 0
+    while done < size:
+        got = os.preadv(fd, [into[done:]], offset + done)
+        if not got:
+            break
+        done += got
+    return into[:done]
 
 
 class CheckpointHandle:
@@ -130,7 +147,10 @@ class CheckpointHandle:
         except FileNotFoundError:
             raise FileNotFoundError(f"checkpoint file not found: {self.path}") from None
         try:
-            self._size = os.fstat(self._fd).st_size
+            info = os.fstat(self._fd)
+            if not stat.S_ISREG(info.st_mode):
+                raise ContainerError(f"checkpoint is not a regular file: {self.path}")
+            self._size = info.st_size
             self._entries, self.metadata, self._data_start = self._parse_header()
         except Exception:
             os.close(self._fd)
@@ -279,12 +299,16 @@ class CheckpointHandle:
         working precision, or ``out``.  ``out``, if given, is a contiguous
         float64 vector with one entry per element, which holds float64 at
         either precision: an f64 payload loaded at f32 is rounded through
-        float32 in place.  The record's data is then ``out`` in the tensor's
-        shape, with the values and errors the default load gives.
+        float32 in place.  The payload is read into ``out``'s own bytes and
+        widened there, so such a load allocates no payload buffer.  The
+        record's data is then ``out`` in the tensor's shape, with the values
+        and errors the default load gives.
         """
         entry = self._entry(name)
         target = working_dtype(precision)
         count = math.prod(entry.shape)
+        position = self._data_start + entry.offset
+        into: tuple[np.ndarray, ...] = ()  # where the payload is read to, if not fresh bytes
         if out is None:
             out = np.empty(count, target)
         elif not (out.dtype == np.float64 and out.shape == (count,) and out.flags.c_contiguous):
@@ -292,8 +316,14 @@ class CheckpointHandle:
                 f"out must be a contiguous float64 vector of {count} entries, "
                 f"got {out.dtype} of shape {out.shape}"
             )
+        else:
+            # where decode_buffer widens it in place, front to back: f32 in the
+            # upper half, each float64 written below what is still unread; f16
+            # and bf16 at the front, clear of the float32 staged in the upper half
+            start = out.nbytes - entry.nbytes if entry.code == "f32" else 0
+            into = (out.view(np.uint8)[start : start + entry.nbytes],)
         if entry.nbytes:
-            raw = _pread(self._fd, entry.nbytes, self._data_start + entry.offset)
+            raw = _pread(self._fd, entry.nbytes, position, *into)
             if len(raw) != entry.nbytes:
                 raise ContainerError(
                     f"malformed container {self.path}: truncated payload for {name!r}"
@@ -305,8 +335,13 @@ class CheckpointHandle:
                     np.positive(out, out=out, dtype=target)
         arr = out.reshape(entry.shape)
         if strict and not np.isfinite(arr).all():
-            # only an f64 payload can hold a finite value that loads as Inf
-            values = np.frombuffer(raw, "<f8") if entry.code == "f64" else arr
+            # only an f64 payload can hold a finite value that loads as Inf;
+            # it is read again, since the load may have rounded it in place
+            values = (
+                np.frombuffer(_pread(self._fd, entry.nbytes, position), "<f8")
+                if entry.code == "f64"
+                else arr
+            )
             if not np.isfinite(values).all():
                 raise NonFiniteError(f"tensor {name!r} in {self.path} contains NaN/Inf")
             worst = float(values[np.argmax(np.abs(values))])
@@ -406,6 +441,10 @@ class CheckpointWriter:
         self._work = dtypes.Workspace()  # each thread's encode buffers
 
         self.path = Path(path)
+        # refused before any tensor is merged, not at the final rename (which
+        # would replace a symlink to a directory, not enter it)
+        if self.path.is_dir() and not self.path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(self.path))
         # A fresh random name per writer (128 bits, as in a uuid4), so
         # concurrent writers of one output never share (or delete) each
         # other's temporary file.  Mode 0o666 less the umask is what

@@ -9,7 +9,9 @@ four ``delta_ops`` kernels as they were with boolean-mask scatters, kept to
 pin the branch-free ones byte for byte; ``decode_buffer_direct``, the
 allocating payload decode, kept to pin the one that decodes in place; and
 ``bootstrap_stats_per_metric``, the bootstrap summary as it was with one
-array per named metric, kept to pin the one-table form.
+array per named metric, kept to pin the one-table form; and
+``diagnose_eager``, the ``diagnose`` report as it was when every tensor of
+the input was read before the first draw, kept to pin the streamed one.
 """
 
 from __future__ import annotations
@@ -229,6 +231,45 @@ def bootstrap_stats_per_metric(
         std = float(np.std(vals, ddof=1)) if draws > 1 else 0.0
         metrics[metric] = {"mean": float(vals.mean()), "std": std}
     return metrics
+
+
+# -- eager diagnose (reference input path) ---------------------------------------
+
+
+def diagnose_eager(input_path, spec_path=None, draws: int = 20, seed: int = 0):
+    """The ``diagnose`` command's report as it was before it streamed: the
+    whole input is read at float64 (``read_checkpoint``), a toy forward runs
+    as one ``toy_forward_collect`` call over the whole stack, and the layers
+    go to ``diagnostics_report`` as one list.  Valid inputs only.
+    """
+    import re
+
+    import yaml
+
+    from geomerge.diagnostics import ActivationMatrix, diagnostics_report, toy_forward_collect
+    from geomerge.tensor_io import read_checkpoint
+
+    ckpt = read_checkpoint(input_path, precision="f64")
+    if spec_path is None:
+        indexed = [
+            (int(re.match(r"^layer_(\d+)$", name).group(1)), name) for name in ckpt.names()
+        ]
+        layers = [
+            ActivationMatrix(label=name, samples=ckpt[name].data)
+            for _, name in sorted(indexed, key=lambda kv: kv[0])
+        ]
+    else:
+        with open(spec_path, encoding="utf-8") as fh:
+            spec = yaml.safe_load(fh)
+        entries = [{"weight": e} if isinstance(e, str) else e for e in spec["layers"]]
+        weights = [ckpt[e["weight"]].data for e in entries]
+        biases = [ckpt[e["bias"]].data.reshape(-1) if "bias" in e else None for e in entries]
+        rng = keyed_stream(spec.get("seed", 0), "toy-forward-input", 0)
+        inputs = rng.standard_normal((spec.get("samples", 256), weights[0].shape[0]))
+        layers = toy_forward_collect(
+            weights, inputs, nonlinearity=spec.get("nonlinearity", "identity"), biases=biases
+        )
+    return diagnostics_report(layers, draws=draws, seed=seed)
 
 
 # -- full-sort TIES trim and m x n sign election (reference combine) ----------
