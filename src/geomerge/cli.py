@@ -133,11 +133,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_directories(*paths: Path | None) -> None:
+    """Refuse, before any payload read, a summary or report path that names
+    a directory or a symlink to one, as the write would follow it."""
+    for path in paths:
+        if path is not None and path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 def cmd_merge(args: argparse.Namespace) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
     recipe = load_recipe(args.recipe, overrides=args.overrides)
     precision = args.precision or recipe.precision
+    summary_path = recipe.output_path.parent / (recipe.output_path.name + ".summary.json")
     with contextlib.ExitStack() as stack:
         sources = [stack.enter_context(open_checkpoint(m.path)) for m in recipe.models]
         base = (
@@ -156,9 +165,9 @@ def cmd_merge(args: argparse.Namespace) -> int:
             strict=recipe.strict,
             threads=args.threads,
         )
+        _refuse_directories(summary_path)
         summary = run_merge(job)
 
-    summary_path = recipe.output_path.parent / (recipe.output_path.name + ".summary.json")
     summary_path.write_text(
         json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -172,9 +181,7 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.draws < 1:
         raise ConfigError("--draws must be >= 1")
-    for path in (args.out, args.csv):
-        if path is not None and path.is_dir():  # refused before any draw, not at the write
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    _refuse_directories(args.out, args.csv)
     spec = None if args.toy_forward is None else _toy_forward_spec(args.toy_forward)
     with open_checkpoint(args.input) as handle:
         if spec is None:

@@ -57,6 +57,7 @@ from .sphere import (
 from .tensor_io import (
     CheckpointHandle,
     CheckpointWriter,
+    check_output_path,
     validate_aligned,
     write_checkpoint,  # noqa: F401  (not called here; kept so it can be traced under this module)
 )
@@ -606,13 +607,14 @@ def _name_tensor(exc: Exception, name: str) -> None:
 def run_merge(job: MergeJob) -> MergeSummary:
     """Merge every aligned tensor of the job, streaming the output checkpoint.
 
-    The output layout comes from the source headers, and the temporary
-    output file opens before any merge runs, so an unwritable output fails
-    before any payload is read.  Tensors go to the worker pool in
-    lexicographic name order, at most two per worker in flight.  Each worker
-    merges its tensor, then encodes it and writes it at its own offset, so
-    peak memory follows the largest tensors, not the model, and the bytes are
-    identical for any thread count.
+    The plan comes from the source headers: the mergeable and skipped names
+    and the output layout.  An output path that names a directory is
+    refused before any payload is read.  The stream hands tensors to the
+    worker pool in lexicographic name order, at most two per worker in
+    flight; each worker merges its tensor, encodes it and writes it at its
+    own offset, so peak memory follows the largest tensors, not the model,
+    and the bytes are identical for any thread count.  The main thread
+    collects each result, and logs for it, in name order.
 
     In strict mode any misalignment or per-tensor failure aborts with the
     tensor named; otherwise failing tensors are copied from the base (or the
@@ -644,10 +646,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
     else:
         mergeable = sources[0].names()
 
-    union_names: set[str] = set()
-    for h in sources:
-        union_names.update(h.names())
-    skipped = sorted(union_names.difference(mergeable))
+    skipped = sorted(set().union(*(h.names() for h in sources)).difference(mergeable))
     for name in skipped:
         logger.warning("tensor %r is not mergeable; copying from the first source", name)
 
@@ -658,8 +657,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
         stack in ``work``; the rule may overwrite the source rows and write
         its result into ``work``'s ``out`` vector.
         """
-        shape = sources[0].shape(name)
-        count = math.prod(shape)
+        count = math.prod(sources[0].shape(name))
         stack = work.take("stack", (len(align_set), count))
         for handle, row in zip(align_set, stack):
             handle.load_tensor(name, job.precision, strict=True, out=row)
@@ -686,16 +684,6 @@ def run_merge(job: MergeJob) -> MergeSummary:
             if not np.isfinite(merged).all():
                 raise NonFiniteError("merge produced NaN/Inf values")
             raise NonFiniteError("norm beyond float64 range")
-        if stats and not stats.converged:
-            logger.warning(
-                "tensor %r: barycenter solver hit max_iter (residual %.3e)",
-                name,
-                stats.residual,
-            )
-        logger.debug(
-            "merged tensor %r (%s) norm %.6g", name,
-            "x".join(map(str, shape)) or "scalar", tensor_stats.norm_out,
-        )
         return merged, tensor_stats
 
     def donor(name: str, donors: Sequence[CheckpointHandle | None]) -> CheckpointHandle:
@@ -708,18 +696,17 @@ def run_merge(job: MergeJob) -> MergeSummary:
     # The layout: a merged tensor has sources[0]'s shape and a copied one
     # its donor's.  Where a numeric fallback's donor, a base the method does
     # not read, holds the name in another shape, the shape depends on
-    # whether the merge fails; those tensors (non-strict runs only) are
-    # merged first, each in a workspace of its own, and held until their turn.
+    # whether the merge fails; such a tensor (non-strict runs only) is merged
+    # once here to learn that, its result dropped, and again in its turn.
     shapes = {name: sources[0].shape(name) for name in mergeable}
     shapes.update({name: donor(name, sources).shape(name) for name in skipped})
-    early: dict[str, Any] = {}
+    check_output_path(job.out_path)
     if not job.strict and job.base is not None:
         for name in mergeable:
             if name in job.base and job.base.shape(name) != shapes[name]:
                 try:
-                    early[name] = merge_one(name, dtypes.Workspace())
-                except Exception as exc:
-                    early[name] = exc
+                    merge_one(name, dtypes.Workspace())
+                except Exception:  # reported when the tensor fails again in its turn
                     shapes[name] = job.base.shape(name)
 
     out = CheckpointWriter(job.out_path, shapes, output_dtype=job.out_dtype)
@@ -738,12 +725,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
     work = dtypes.Workspace()
 
     def merge_and_put(name: str) -> TensorStats:
-        result = early.pop(name, None)
-        if isinstance(result, Exception):
-            raise result
-        if result is None:
-            result = merge_one(name, work)
-        merged, stats = result
+        merged, stats = merge_one(name, work)
         put(name, merged)
         return stats
 
@@ -764,7 +746,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
                     break
                 name, future = window.popleft()
                 try:
-                    per_tensor.append(future.result())
+                    stats = future.result()
                 except Exception as exc:
                     if job.strict:
                         for _, pending in window:
@@ -775,6 +757,17 @@ def run_merge(job: MergeJob) -> MergeSummary:
                     reason = str(exc).removeprefix(f"tensor {name!r} in ")
                     logger.warning("tensor %r failed (%s); copying fallback", name, reason)
                     failed.append(name)
+                    continue
+                if stats.converged is False:
+                    logger.warning(
+                        "tensor %r: barycenter solver hit max_iter (residual %.3e)",
+                        name, stats.residual,
+                    )
+                logger.debug(
+                    "merged tensor %r (%s) norm %.6g", name,
+                    "x".join(map(str, shapes[name])) or "scalar", stats.norm_out,
+                )
+                per_tensor.append(stats)
 
         # non-mergeable names come from the first source holding them;
         # numeric failures fall back to the base tensor

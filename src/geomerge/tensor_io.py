@@ -393,6 +393,14 @@ def read_checkpoint(
         return handle.load_all(precision, strict)
 
 
+def check_output_path(path: str | os.PathLike) -> None:
+    """Refuse an output ``path`` that names a directory before any tensor is
+    merged; a symlink to one is left to the final rename, which replaces it."""
+    path = Path(path)
+    if path.is_dir() and not path.is_symlink():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 class CheckpointWriter:
     """Write a container whose layout is fixed before any payload exists.
 
@@ -441,10 +449,7 @@ class CheckpointWriter:
         self._work = dtypes.Workspace()  # each thread's encode buffers
 
         self.path = Path(path)
-        # refused before any tensor is merged, not at the final rename (which
-        # would replace a symlink to a directory, not enter it)
-        if self.path.is_dir() and not self.path.is_symlink():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(self.path))
+        check_output_path(self.path)
         # A fresh random name per writer (128 bits, as in a uuid4), so
         # concurrent writers of one output never share (or delete) each
         # other's temporary file.  Mode 0o666 less the umask is what
@@ -532,15 +537,11 @@ def write_checkpoint(
     output dtype's range is the one a :class:`DTypeOverflowError` names.
     The file is written to a temporary sibling and atomically renamed.
     """
-    records: dict[str, TensorRecord] = {}
-    for rec in tensors:
-        if rec.name in records:
-            raise ValueError(f"duplicate tensor name {rec.name!r}")
-        records[rec.name] = rec
+    records = Checkpoint.from_records(tensors).tensors
     shapes = {name: rec.shape for name, rec in records.items()}
     with CheckpointWriter(path, shapes, output_dtype, metadata, clamp_overflow) as out:
-        for name in sorted(records):
-            out.put(name, records[name].data)
+        for name, rec in records.items():
+            out.put(name, rec.data)
 
 
 @dataclass
