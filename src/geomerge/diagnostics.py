@@ -9,9 +9,15 @@ against their sources.
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
-from typing import Any, Callable, Iterable, Sequence
+from functools import cache
+from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +25,8 @@ from .errors import AlignmentError, NonFiniteError
 from .rng import keyed_stream
 from .sphere import DEGENERATE_NORM, norm, normalized_weights
 from .tensor_io import Checkpoint
+
+logger = logging.getLogger(__name__)
 
 NONLINEARITIES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "identity": lambda z: z,
@@ -219,9 +227,12 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
     """Resample rows with replacement and summarize each metric.
 
     Draw ``k`` uses the stream keyed by (seed, "bootstrap:<label>", k), so
-    reports are bit-identical across runs for a given BLAS build and thread
-    setting (the eigensolve's bits can change with the BLAS thread count);
-    rows (samples) are resampled, never features.
+    the draws are the same on every run; rows (samples) are resampled, never
+    features.  The eigensolve's bits can change with the BLAS thread count:
+    :func:`diagnostics_report` holds BLAS to one thread, so its reports are
+    bit-identical across runs and thread settings for a given BLAS build.
+    Called on its own, or where the BLAS's thread-count calls are not found,
+    the bits follow the BLAS thread count in force.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -245,17 +256,78 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
 def diagnostics_report(
     layers: Iterable[ActivationMatrix], draws: int, seed: int
 ) -> DiagnosticsReport:
-    """Bootstrap every layer, in order.
+    """Bootstrap every layer, in order, on one BLAS thread.
 
     Each layer is let go before the next is taken from ``layers``, so a
     generator that makes its layers one at a time is never asked to keep
-    more than the ones it holds itself.
+    more than the ones it holds itself.  The whole loop, and so whatever
+    the generator computes to make its layers, runs inside
+    :func:`_one_blas_thread`.
     """
     report = DiagnosticsReport(draws=draws, seed=seed)
-    for layer in layers:
-        report.layers.append(bootstrap_stats(layer, draws, seed))
-        del layer
+    with _one_blas_thread():
+        for layer in layers:
+            report.layers.append(bootstrap_stats(layer, draws, seed))
+            del layer
     return report
+
+
+def _bundled_openblas() -> Path | None:
+    """The scipy-openblas library that numpy's wheel ships in ``numpy.libs``."""
+    return next(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"), None)
+
+
+@cache
+def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | str:
+    """The get/set thread-count pair of the scipy-openblas build that numpy's
+    wheel loads, or the reason there is none.
+
+    Looked up once.  ``RTLD_NOLOAD`` opens only a library the process has
+    already loaded, so a copy numpy does not use is never loaded here.
+    Other BLAS builds are left to their own thread count.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return "this platform cannot open a loaded library by path"
+    path = _bundled_openblas()
+    if path is None:
+        return "numpy's wheel ships no scipy-openblas"
+    try:
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+    except OSError:
+        return f"{path.name} is not the BLAS numpy loaded"
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or put is None:
+        return f"{path.name} exports no get/set thread-count pair"
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold the BLAS that numpy loaded to one thread, and put the old count
+    back on the way out.
+
+    The eigensolve's bits depend on the BLAS thread count, and between the
+    many small products and eigensolves of a bootstrap the idle BLAS
+    threads spin for nothing.  The count is process-wide.  Where the
+    thread-count calls are not found it is left alone, and the debug log
+    says why.
+    """
+    calls = _blas_thread_calls()
+    if isinstance(calls, str):
+        logger.debug("BLAS thread count left alone: %s", calls)
+        yield
+        return
+    get, put = calls
+    before = get()
+    logger.debug("BLAS threads set from %d to 1 for the diagnostics", before)
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def check_layer_shapes(

@@ -121,6 +121,7 @@ class SolverStats:
     iterations: int
     residual: float
     converged: bool
+    stalled: bool = False
 
 
 @dataclass
@@ -320,7 +321,7 @@ def merge_karcher(
     if not live.any():
         return weighted_sum(stack, w, out), SolverStats(0, 0.0, True)
     result = karcher_mean(stack if live.all() else stack[live], w[live], config, out)
-    stats = SolverStats(result.iterations, result.residual, result.converged)
+    stats = SolverStats(result.iterations, result.residual, result.converged, result.stalled)
     return np.multiply(result.mean, float(w @ np.where(live, norms, 0.0)), out=out), stats
 
 
@@ -572,6 +573,8 @@ class TensorStats:
     converged: bool | None
     norm_in: list[float]
     norm_out: float
+    #: the solver stopped on a stall rather than at max_iter; told in the log only
+    stalled: bool = False
 
 
 @dataclass
@@ -584,7 +587,10 @@ class MergeSummary:
     wall_ms: float
 
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        summary = asdict(self)
+        for tensor in summary["per_tensor"]:
+            del tensor["stalled"]
+        return summary
 
 
 def _name_tensor(exc: Exception, name: str) -> None:
@@ -678,6 +684,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
             converged=stats.converged if stats else None,
             norm_in=norm_in,
             norm_out=norm(merged),
+            stalled=stats.stalled if stats else False,
         )
         # a norm is finite when every entry is, unless it exceeds float64's range
         if not all(map(math.isfinite, [*tensor_stats.norm_in, tensor_stats.norm_out])):
@@ -758,7 +765,13 @@ def run_merge(job: MergeJob) -> MergeSummary:
                     logger.warning("tensor %r failed (%s); copying fallback", name, reason)
                     failed.append(name)
                     continue
-                if stats.converged is False:
+                if stats.stalled:
+                    logger.warning(
+                        "tensor %r: barycenter solver stalled, stopped at iteration %d"
+                        " (residual %.3e)",
+                        name, stats.iterations, stats.residual,
+                    )
+                elif stats.converged is False:
                     logger.warning(
                         "tensor %r: barycenter solver hit max_iter (residual %.3e)",
                         name, stats.residual,

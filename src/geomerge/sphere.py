@@ -70,13 +70,16 @@ class KarcherResult:
 
     ``residual`` is the norm of the weighted tangent-space mean at the final
     iterate, measured in n-space; ``converged`` holds exactly when
-    ``residual < tol``.
+    ``residual < tol``.  ``stalled`` holds when the solve stopped short of
+    ``tol`` because a step fell below the smallest angle the solver moves
+    by, rather than at ``max_iter``.
     """
 
     mean: np.ndarray
     iterations: int
     residual: float
     converged: bool
+    stalled: bool = False
 
 
 def normalize_to_sphere(v: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -287,8 +290,11 @@ def karcher_mean(
     Starting from the normalized weighted Euclidean mean (or the
     highest-weight point when that mean degenerates), each step moves along
     ``Exp_x(eta * mean_i w_i Log_x(u_i))`` until the tangent-mean norm drops
-    below ``tol`` or ``max_iter`` steps have been taken.  Non-convergence
-    returns the last iterate with ``converged=False`` rather than raising.
+    below ``tol``, ``max_iter`` steps have been taken, or the iterate stalls
+    (a step shorter than the smallest angle the solver moves by, after which
+    one more iteration measures it in n-space and stops).  Non-convergence
+    returns the last iterate with ``converged=False`` rather than raising,
+    and ``stalled`` says whether a stall or ``max_iter`` ended it.
 
     The iterate is kept as coefficients on the points and the loop runs on
     their Gram matrix; see the module docstring.  A 2-D float64 ``points``
@@ -323,23 +329,32 @@ def karcher_mean(
     # within it of tol^2 the residual is decided in n-space instead
     slack = 16.0 * (m + np.sqrt(n)) * np.finfo(np.float64).eps
     iteration = 0
+    stalled = False
     while True:
         gamma = _tangent_coefficients(gram @ beta, beta, w, cfg.antipodal_eps, iteration)
         r2 = float(gamma @ gram @ gamma)
-        last = iteration == cfg.max_iter
+        last = stalled or iteration == cfg.max_iter
         if last or r2 < cfg.tol**2 + slack * float(np.abs(gamma).sum()) ** 2:
             x, beta, gamma, residual = _at_iterate(
                 pts, inv_norms, beta, w, cfg.antipodal_eps, iteration, out
             )
             if residual < cfg.tol or last:
+                converged = residual < cfg.tol
                 return KarcherResult(
-                    mean=x, iterations=iteration, residual=residual, converged=residual < cfg.tol
+                    mean=x,
+                    iterations=iteration,
+                    residual=residual,
+                    converged=converged,
+                    stalled=stalled and not converged,
                 )
             r = residual
         else:
             r = float(np.sqrt(r2))
         step = cfg.eta * r
-        if step >= _ZERO_ANGLE:
+        # a step this small is not taken: the iterate can no longer move, so
+        # the next iteration is the last
+        stalled = step < _ZERO_ANGLE
+        if not stalled:
             beta = np.cos(step) * beta + (np.sin(step) / r) * gamma
             beta /= float(np.sqrt(beta @ gram @ beta))
         iteration += 1

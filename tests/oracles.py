@@ -11,7 +11,9 @@ allocating payload decode, kept to pin the one that decodes in place; and
 ``bootstrap_stats_per_metric``, the bootstrap summary as it was with one
 array per named metric, kept to pin the one-table form; and
 ``diagnose_eager``, the ``diagnose`` report as it was when every tensor of
-the input was read before the first draw, kept to pin the streamed one.
+the input was read before the first draw, kept to pin the streamed one; and
+``karcher_mean_to_max_iter``, the Gram-coefficient solver as it was before a
+stall ended the solve, kept to pin the stall exit's mean and residual.
 """
 
 from __future__ import annotations
@@ -26,6 +28,18 @@ import numpy as np
 from geomerge.delta_ops import _BLOCK, SparsifySpec, _weighted_totals, stack_rows
 from geomerge.diagnostics import spectral_stats
 from geomerge.rng import keyed_stream
+from geomerge.sphere import (
+    _ZERO_ANGLE,
+    DEGENERATE_NORM,
+    KarcherConfig,
+    KarcherResult,
+    _at_iterate,
+    _tangent_coefficients,
+    combine_rows,
+    gram_matrix,
+    norm,
+    normalized_weights,
+)
 
 
 # -- container format (independent writer) -----------------------------------
@@ -153,8 +167,9 @@ def karcher_direct(
 
     Each step builds every log map u_i - <u_i, x> x explicitly, so one
     iteration costs O(m n).  Returns (mean, iterations, residual, converged)
-    with the same stopping rule as the package solver: stop at the first
-    iterate whose tangent-mean norm is below ``tol``, or at ``max_iter``.
+    with the package solver's stopping rule at a ``tol`` it can reach: stop
+    at the first iterate whose tangent-mean norm is below ``tol``, or at
+    ``max_iter``.  It has no stall exit.
     """
     pts = np.asarray(points, dtype=np.float64)
     pts = pts / np.linalg.norm(pts, axis=1)[:, None]
@@ -182,6 +197,51 @@ def karcher_direct(
             x = np.cos(step) * x + np.sin(step) * (v / residual)
             x = x / np.linalg.norm(x)
     raise AssertionError("unreachable")
+
+
+def karcher_mean_to_max_iter(
+    points: np.ndarray,
+    weights: np.ndarray,
+    config: KarcherConfig | None = None,
+    out: np.ndarray | None = None,
+) -> KarcherResult:
+    """``sphere.karcher_mean`` as it was before a stall ended the solve: a
+    step too small to take is skipped and the loop runs on to ``max_iter``,
+    rebuilding the iterate in n-space whenever the Gram estimate nears
+    ``tol``."""
+    cfg = config or KarcherConfig()
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m, n = pts.shape
+    w = normalized_weights(weights, m)
+    gram = gram_matrix(pts)
+    inv_norms = 1.0 / np.sqrt(np.diagonal(gram))
+    gram *= np.outer(inv_norms, inv_norms)
+    chord_norm = norm(combine_rows(w * inv_norms, pts))
+    if chord_norm < DEGENERATE_NORM:
+        beta = np.zeros(m)
+        beta[int(np.argmax(w))] = 1.0
+    else:
+        beta = w / chord_norm
+    slack = 16.0 * (m + np.sqrt(n)) * np.finfo(np.float64).eps
+    iteration = 0
+    while True:
+        gamma = _tangent_coefficients(gram @ beta, beta, w, cfg.antipodal_eps, iteration)
+        r2 = float(gamma @ gram @ gamma)
+        last = iteration == cfg.max_iter
+        if last or r2 < cfg.tol**2 + slack * float(np.abs(gamma).sum()) ** 2:
+            x, beta, gamma, residual = _at_iterate(
+                pts, inv_norms, beta, w, cfg.antipodal_eps, iteration, out
+            )
+            if residual < cfg.tol or last:
+                return KarcherResult(x, iteration, residual, residual < cfg.tol)
+            r = residual
+        else:
+            r = float(np.sqrt(r2))
+        step = cfg.eta * r
+        if step >= _ZERO_ANGLE:
+            beta = np.cos(step) * beta + (np.sin(step) / r) * gamma
+            beta /= float(np.sqrt(beta @ gram @ beta))
+        iteration += 1
 
 
 # -- d x d covariance eigensolve (reference spectrum) --------------------------

@@ -1,10 +1,11 @@
 """The Karcher solver's rarer branches: degenerate sources, a degenerate
-chord, the iteration cap, a single model, and the n-space check that
+chord, the iteration cap, a stall, a single model, and the n-space check that
 overrules the Gram estimate."""
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from geomerge import sphere
+from geomerge import merge_methods, sphere
 from geomerge.cli import main
-from geomerge.merge_methods import SolverStats, merge_karcher
-from geomerge.sphere import KarcherConfig, karcher_mean
+from geomerge.merge_methods import SolverStats, merge_karcher, merge_multislerp
+from geomerge.sphere import KarcherConfig, KarcherResult, karcher_mean
 from geomerge.tensor_io import TensorRecord, read_checkpoint, write_checkpoint
+from oracles import karcher_mean_to_max_iter
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -119,3 +121,75 @@ def test_n_space_residual_overrules_the_gram_estimate(monkeypatch):
             assert calls[-1] == (result.iterations, result.residual)
             overruled += sum(it < max_iter and residual >= tol for it, residual in calls)
     assert overruled
+
+
+def test_a_stalled_solve_returns_the_iterate_the_cap_would():
+    """With ``tol`` below any residual the solver can reach, its steps fall
+    below the smallest angle it moves by and the iterate stops.  The solve
+    returns one iteration later, with the mean and residual that running on
+    to ``max_iter`` gives."""
+    for seed in range(4):
+        pts = np.random.default_rng(seed).standard_normal((3, 50))
+        cfg = KarcherConfig(tol=1e-300, max_iter=200)
+        result = karcher_mean(pts, np.ones(3), cfg)
+        assert result.stalled and not result.converged
+        assert result.iterations < 20  # a tol of 1e-6 takes 4 to 6
+        capped = karcher_mean_to_max_iter(pts, np.ones(3), cfg)
+        assert capped.iterations == 200
+        np.testing.assert_array_equal(result.mean, capped.mean)
+        assert result.residual == capped.residual
+
+
+def test_a_stall_one_before_the_cap_is_told_from_the_cap():
+    pts = np.random.default_rng(0).standard_normal((3, 50))
+    stop = karcher_mean(pts, np.ones(3), KarcherConfig(tol=1e-300)).iterations
+    stall = karcher_mean(pts, np.ones(3), KarcherConfig(tol=1e-300, max_iter=stop))
+    cap = karcher_mean(pts, np.ones(3), KarcherConfig(tol=1e-300, max_iter=stop - 1))
+    assert (stall.iterations, stall.stalled) == (stop, True)
+    assert (cap.iterations, cap.stalled) == (stop - 1, False)
+
+
+def test_multislerp_of_near_equal_sources_keeps_its_bits(monkeypatch):
+    """Sources less than 1e-12 rad apart stall multislerp's one step; its
+    output is the one the solver without a stall exit gives."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for n in (4, 1000):
+        for angle in (1e-15, 1e-13, 5e-13):
+            a = rng.standard_normal(n)
+            d = rng.standard_normal(n)
+            d -= (d @ a) / (a @ a) * a
+            b = a + angle * np.linalg.norm(a) * d / np.linalg.norm(d)
+            cases.append(([a, b], rng.uniform(0.5, 2.0, 2)))
+    results: list[KarcherResult] = []
+
+    def spy(*args):
+        results.append(karcher_mean(*args))
+        return results[-1]
+
+    monkeypatch.setattr(merge_methods, "karcher_mean", spy)
+    got = [merge_multislerp(sources, w) for sources, w in cases]
+    # a stall whose last look finds a zero residual ends converged
+    assert all(r.stalled or r.residual == 0.0 for r in results)
+    assert any(r.stalled for r in results)
+    monkeypatch.setattr(merge_methods, "karcher_mean", karcher_mean_to_max_iter)
+    for (sources, w), have in zip(cases, got):
+        assert merge_multislerp(sources, w).tobytes() == have.tobytes()
+
+
+def test_a_stall_logs_its_own_warning(tmp_path, caplog):
+    recipe = _recipe(
+        tmp_path, "karcher", _write_sources(tmp_path, 3), "{tol: 1.0e-300, max_iter: 200}"
+    )
+    with caplog.at_level(logging.WARNING, logger="geomerge.merge_methods"):
+        assert main(["merge", str(recipe)]) == 0
+    logs = [r.getMessage() for r in caplog.records if r.name == "geomerge.merge_methods"]
+    summary = json.loads((tmp_path / "karcher.st.summary.json").read_text())
+    want = []
+    for t in summary["per_tensor"]:
+        assert not t["converged"] and t["iterations"] < 200
+        want.append(
+            f"tensor {t['name']!r}: barycenter solver stalled, stopped at iteration "
+            f"{t['iterations']} (residual {t['residual']:.3e})"
+        )
+    assert logs == want
