@@ -41,7 +41,7 @@ from .errors import (
     NonFiniteError,
 )
 from .merge_methods import MergeJob, run_merge
-from .recipe import load_recipe, load_yaml
+from .recipe import invalid_yaml, load_recipe, load_yaml
 from .rng import keyed_stream
 from .sphere import norm
 from .tensor_io import CheckpointHandle, open_checkpoint
@@ -236,7 +236,7 @@ def _toy_forward_spec(spec_path: Path) -> tuple[str, int, int, list]:
     except FileNotFoundError:
         raise FileNotFoundError(f"toy-forward spec not found: {spec_path}") from None
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{spec_path}: invalid YAML ({exc})") from None
+        raise invalid_yaml(str(spec_path), exc) from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{spec_path}: toy-forward spec must be a mapping")
     allowed = {"nonlinearity", "samples", "seed", "layers"}
@@ -334,7 +334,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                 }
             )
     if args.as_json:
-        print(json.dumps({"tensors": rows, "metadata": metadata}, indent=2, sort_keys=True))
+        # strict JSON: a NaN entry, or a norm beyond float64's range, gives null
+        tensors = [{**r, "norm": r["norm"] if math.isfinite(r["norm"]) else None} for r in rows]
+        doc = {"tensors": tensors, "metadata": metadata}
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
     else:
         width = max([len(r["name"]) for r in rows] + [4])
         print(f"{'name':<{width}}  {'shape':<16} {'dtype':<5} norm")

@@ -333,14 +333,10 @@ def merge_task_arithmetic(
     *,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """base + scaling * weighted mean of expert deltas (into ``out``, if given)."""
-    b = np.ravel(base)
-    w = normalized_weights(weights, len(experts))
-    # one buffer for every task vector: each is summed before the next is made
-    delta = np.empty(b.size)
-    acc = weighted_sum((task_vector(e, b, out=delta) for e in experts), w, out)
-    np.multiply(acc, scaling, out=acc)
-    return np.add(b, acc, out=acc)
+    """base + scaling * weighted mean of expert deltas: :func:`merge_della`
+    with nothing dropped, combined by lerp (so ``out`` acts as there)."""
+    spec = SparsifySpec(drop_rate=0.0, window=0.0)
+    return merge_della(base, experts, weights, spec, scaling=scaling, out=out)
 
 
 def merge_ties(
@@ -381,9 +377,11 @@ def merge_della(
     tensor_name: str = "",
     model_indices: Sequence[int] | None = None,
     *,
+    scaling: float = 1.0,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Magnitude-aware drop-and-rescale, then lerp or ties combination.
+    """Magnitude-aware drop-and-rescale, then lerp or ties combination,
+    the combined delta scaled by ``scaling`` and added to the base.
 
     Each delta is dropped in place, all drops sharing one buffer of draws.
     With ``drop_rate=0`` (hence ``window=0``) nothing is dropped and no
@@ -422,12 +420,14 @@ def merge_della(
         rows = repeat(np.empty(b.size)) if stack is None else stack
         deltas = (delta(e, idx, draws, row) for e, row, idx in zip(experts, rows, indices))
         weighted_sum(deltas, w, out)
-        return np.add(b, out, out=out)
-    stack = np.empty((w.size, b.size)) if stack is None else stack
-    for row, expert, idx in zip(stack, experts, indices):
-        delta(expert, idx, out, row)
-        trim_topk(row, spec.density, out=row, scratch=out)
-    disjoint_merge(stack, w, elect_signs(stack, w, out), out)
+    else:
+        stack = np.empty((w.size, b.size)) if stack is None else stack
+        for row, expert, idx in zip(stack, experts, indices):
+            delta(expert, idx, out, row)
+            trim_topk(row, spec.density, out=row, scratch=out)
+        disjoint_merge(stack, w, elect_signs(stack, w, out), out)
+    if scaling != 1.0:  # a factor of 1 would change no bit, so skip its pass
+        np.multiply(out, scaling, out=out)
     return np.add(b, out, out=out)
 
 
@@ -487,9 +487,10 @@ class MethodSpec:
 
 
 def _delta_method(*reads: str) -> MethodSpec:
-    """ties, dare_* and della_*: :func:`merge_della` with the drop parameters
-    the method reads, and 0 for those it does not; a method that reads
-    ``density`` combines by TIES."""
+    """task_arithmetic, ties, dare_* and della_*: :func:`merge_della` with
+    the drop parameters the method reads, and 0 for those it does not; a
+    method that reads ``density`` combines by TIES, and one that reads
+    ``lambda`` scales the combined delta by it."""
     combine = "ties" if "density" in reads else "lerp"
 
     def rule(
@@ -497,7 +498,8 @@ def _delta_method(*reads: str) -> MethodSpec:
     ) -> Any:
         drop = {key: p(key) if key in reads else 0.0 for key in ("drop_rate", "window")}
         spec = SparsifySpec(density=p("density"), seed=p("seed"), **drop)
-        return merge_della(base, flats, w, spec, combine, name, out=out)
+        scaling = p("lambda") if "lambda" in reads else 1.0
+        return merge_della(base, flats, w, spec, combine, name, scaling=scaling, out=out)
 
     return MethodSpec(reads, rule, needs_base=True)
 
@@ -521,13 +523,7 @@ METHODS: dict[str, MethodSpec] = {
         lambda p, name, flats, base, w, out=None: merge_multislerp(flats, w, out=out),
         min_sources=2,
     ),
-    "task_arithmetic": MethodSpec(
-        ("lambda",),
-        lambda p, name, flats, base, w, out=None: merge_task_arithmetic(
-            base, flats, w, p("lambda"), out=out
-        ),
-        needs_base=True,
-    ),
+    "task_arithmetic": _delta_method("lambda"),
     "ties": _delta_method("density"),
     "dare_lerp": _delta_method("drop_rate", "seed"),
     "dare_ties": _delta_method("drop_rate", "density", "seed"),

@@ -42,6 +42,15 @@ def load_yaml(text: str) -> Any:
     return yaml.load(text, Loader=_YamlLoader)
 
 
+def invalid_yaml(source: str, exc: yaml.YAMLError) -> ConfigError:
+    """The refusal of a document that is not YAML, on one line: the parser's
+    problem and where it is, without its multi-line quote of the text."""
+    mark = getattr(exc, "problem_mark", None)
+    where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
+    problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+    return ConfigError(f"{source}: invalid YAML ({problem}{where})")
+
+
 @dataclass
 class ModelEntry:
     path: Path
@@ -83,7 +92,7 @@ def parse_recipe(
     try:
         raw = load_yaml(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{source}: invalid YAML ({exc})") from None
+        raise invalid_yaml(source, exc) from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -455,7 +455,10 @@ class CheckpointWriter:
         # other's temporary file.  Mode 0o666 less the umask is what
         # open(path, "wb") would give.
         self._tmp = self.path.with_name(f"{self.path.name}.{os.urandom(16).hex()}.tmp")
-        self._fd = os.open(self._tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            self._fd = os.open(self._tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        except OSError as exc:  # name the output, not a temporary name it never had
+            raise OSError(exc.errno, exc.strerror, str(self.path)) from None
         try:
             prefix = len(header_bytes).to_bytes(_HEADER_PREFIX_LEN, "little")
             self._write_at(prefix + header_bytes, 0)

@@ -332,6 +332,30 @@ def diagnose_eager(input_path, spec_path=None, draws: int = 20, seed: int = 0):
     return diagnostics_report(layers, draws=draws, seed=seed)
 
 
+# -- task arithmetic (reference) ----------------------------------------------
+
+
+def task_arithmetic_direct(
+    base: np.ndarray, experts: Sequence[np.ndarray], weights: Sequence[float], scaling: float
+) -> np.ndarray:
+    """base + scaling * sum_i w_i * (e_i - base), with w the weights over their sum.
+
+    The weights are summed one by one from 0.0.  The accumulator starts at
+    +0.0 and each product ``w_i * (e_i - b)``, with ``e_i`` and ``b`` widened
+    to float64, is added in row order; the sum is multiplied by ``scaling``
+    and then added to ``b``.
+    """
+    total = 0.0
+    for w_i in weights:
+        total += float(w_i)
+    b = np.asarray(base).reshape(-1).astype(np.float64)
+    acc = np.zeros(b.size)
+    for w_i, e in zip(weights, experts):
+        acc += (float(w_i) / total) * (np.asarray(e).reshape(-1).astype(np.float64) - b)
+    acc *= scaling
+    return b + acc
+
+
 # -- full-sort TIES trim and m x n sign election (reference combine) ----------
 
 

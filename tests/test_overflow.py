@@ -24,6 +24,7 @@ import pytest
 from geomerge.cli import main
 from geomerge.sphere import norm
 from geomerge.tensor_io import TensorRecord, read_checkpoint, write_checkpoint
+from oracles import build_container
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -164,3 +165,21 @@ def test_inspect_norms_are_the_summary_norms(tmp_path, capsys):
     listed = json.loads(capsys.readouterr().out)["tensors"]
     assert [t["name"] for t in listed] == names
     assert [t["norm"] for t in listed] == [s["norm_out"] for s in summary["per_tensor"]]
+
+
+def test_inspect_json_gives_null_for_a_non_finite_norm(tmp_path, capsys):
+    """A NaN entry, or a norm beyond float64 with every entry finite, lists
+    as null: strict JSON has no NaN or Infinity.  The text table is as before."""
+    entries = {
+        "finite": ("F32", [2], np.array([3.0, 4.0], "<f4").tobytes()),
+        "huge": ("F64", [4], np.array([1e308] * 4, "<f8").tobytes()),
+        "nan": ("F32", [2], np.array([1.0, np.nan], "<f4").tobytes()),
+    }
+    (tmp_path / "c.st").write_bytes(build_container(entries))
+    assert main(["inspect", str(tmp_path / "c.st"), "--json"]) == 0
+    listed = _strict_json(capsys.readouterr().out)["tensors"]
+    norms = [(t["name"], t["norm"]) for t in listed]
+    assert norms == [("finite", 5.0), ("huge", None), ("nan", None)]
+    assert main(["inspect", str(tmp_path / "c.st")]) == 0
+    column = [line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert column == ["5", "inf", "nan"]

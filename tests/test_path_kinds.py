@@ -100,3 +100,25 @@ def test_diagnose_output_that_is_a_directory(inputs, capsys, reads, flag):
     assert f"Is a directory: '{inputs / 'sub'}'" in _one_error_line(capsys)
     assert reads == []
     assert not (inputs / "r.json").exists() and not (inputs / "r.csv").exists()
+
+
+# -- an output that cannot be created ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "output,code",
+    [
+        ("nodir/m.st", "[Errno 2] No such file or directory"),
+        ("a.st/m.st", "[Errno 20] Not a directory"),
+    ],
+)
+def test_merge_output_that_cannot_be_created_is_named(inputs, capsys, reads, output, code):
+    """The error names the output the recipe gave, not the temporary sibling
+    the writer opens, so the same run prints the same line every time."""
+    recipe = _recipe(inputs, f"{inputs / 'a.st'}, {inputs / 'b.st'}", output)
+    before = sorted(p.name for p in inputs.iterdir())
+    for _ in range(2):
+        assert main(["merge", str(recipe)]) == 2
+        assert _one_error_line(capsys) == f"error: {code}: '{inputs / output}'"
+    assert reads == []
+    assert sorted(p.name for p in inputs.iterdir()) == before

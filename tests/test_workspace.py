@@ -229,6 +229,44 @@ def test_a_second_tensor_allocates_under_two_vectors(tmp_path, monkeypatch, meth
     assert peak - before_y < 2 * vector, (peak - before_y) / vector
 
 
+def test_task_arithmetic_second_tensor_allocates_under_one_vector(tmp_path, monkeypatch):
+    """Task arithmetic makes its deltas in the workspace's stack rows, as
+    the other delta methods do, and keeps no per-tensor scratch vector."""
+    rng = np.random.default_rng(31)
+    base = rng.standard_normal(N)
+    for tag in ("base", "a", "b", "c"):
+        values = base if tag == "base" else base + rng.standard_normal(N)
+        _container(tmp_path / f"{tag}.st", {"x": ("f32", values), "y": ("f32", values[::-1])})
+    marks: list[int] = []
+    put = CheckpointWriter.put
+
+    def mark(self, name, array):
+        put(self, name, array)
+        if name == "x":  # the one worker turns to y next
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(CheckpointWriter, "put", mark)
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open_checkpoint(tmp_path / f"{t}.st")) for t in "abc"]
+        job = MergeJob(
+            sources=handles,
+            base=stack.enter_context(open_checkpoint(tmp_path / "base.st")),
+            method=MergeMethod("task_arithmetic", {"lambda": 0.7}),
+            out_path=tmp_path / "out.st",
+            threads=1,
+        )
+        tracemalloc.start()
+        try:
+            run_merge(job)
+            before_y, peak = marks[0], tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # about half a vector is left: weighted_sum's product block; a fresh
+    # n-length delta on top of it would pass one
+    assert peak - before_y < 8 * N, (peak - before_y) / (8 * N)
+
+
 # -- della_drop refuses draws that alias what it reads -----------------------------
 
 
