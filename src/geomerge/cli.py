@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import errno
 import json
 import logging
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -39,12 +37,13 @@ from .errors import (
     DegenerateError,
     DTypeOverflowError,
     NonFiniteError,
+    refuse_unknown_keys,
 )
 from .merge_methods import MergeJob, run_merge
 from .recipe import invalid_yaml, load_recipe, load_yaml
 from .rng import keyed_stream
 from .sphere import norm
-from .tensor_io import CheckpointHandle, open_checkpoint
+from .tensor_io import CheckpointHandle, check_output_path, open_checkpoint
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -133,14 +132,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_directories(*paths: Path | None) -> None:
-    """Refuse, before any payload read, a summary or report path that names
-    a directory or a symlink to one, as the write would follow it."""
-    for path in paths:
-        if path is not None and path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-
-
 def cmd_merge(args: argparse.Namespace) -> int:
     if args.threads is not None and args.threads < 1:
         raise ConfigError("--threads must be >= 1")
@@ -165,7 +156,9 @@ def cmd_merge(args: argparse.Namespace) -> int:
             strict=recipe.strict,
             threads=args.threads,
         )
-        _refuse_directories(summary_path)
+        # the checkpoint first: it is named where both share a missing parent
+        check_output_path(recipe.output_path)
+        check_output_path(summary_path, renamed=False)
         summary = run_merge(job)
 
     summary_path.write_text(
@@ -181,7 +174,9 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.draws < 1:
         raise ConfigError("--draws must be >= 1")
-    _refuse_directories(args.out, args.csv)
+    for path in (args.out, args.csv):
+        if path is not None:
+            check_output_path(path, renamed=False)
     spec = None if args.toy_forward is None else _toy_forward_spec(args.toy_forward)
     with open_checkpoint(args.input) as handle:
         if spec is None:
@@ -239,10 +234,7 @@ def _toy_forward_spec(spec_path: Path) -> tuple[str, int, int, list]:
         raise invalid_yaml(str(spec_path), exc) from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{spec_path}: toy-forward spec must be a mapping")
-    allowed = {"nonlinearity", "samples", "seed", "layers"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"{spec_path}: unknown key {sorted(unknown)[0]!r} (typo?)")
+    refuse_unknown_keys(raw, {"nonlinearity", "samples", "seed", "layers"}, f"{spec_path}: ")
     nonlinearity = raw.get("nonlinearity", "identity")
     if nonlinearity not in NONLINEARITIES:
         raise ConfigError(

@@ -6,6 +6,8 @@ I/O and container errors (2), numeric errors (3).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 class GeomergeError(Exception):
     """Base class for all package-specific errors."""
@@ -13,6 +15,14 @@ class GeomergeError(Exception):
 
 class ConfigError(GeomergeError):
     """Invalid recipe, parameter, or override (exit category 1)."""
+
+
+def refuse_unknown_keys(node: Iterable, allowed: Iterable[str], where: str) -> None:
+    """Refuse the first key of ``node``, in sorted order, that is not in
+    ``allowed``; ``where`` (``"r.yaml: "``, say) starts the message."""
+    unknown = set(node).difference(allowed)
+    if unknown:
+        raise ConfigError(f"{where}unknown key {sorted(unknown)[0]!r} (typo?)")
 
 
 class ContainerError(GeomergeError):

@@ -42,7 +42,7 @@ from .delta_ops import (
     task_vector,
     trim_topk,
 )
-from .errors import AlignmentError, ConfigError, DegenerateError, NonFiniteError
+from .errors import AlignmentError, ConfigError, DegenerateError, NonFiniteError, refuse_unknown_keys
 from .sphere import (
     DEGENERATE_NORM,
     KarcherConfig,
@@ -140,9 +140,7 @@ class MergeMethod:
             raise ConfigError(
                 f"unknown merge method {self.kind!r}; expected one of {', '.join(METHODS)}"
             )
-        unknown = set(self.params) - set(PARAMS)
-        if unknown:
-            raise ConfigError(f"parameters: unknown key {sorted(unknown)[0]!r} (typo?)")
+        refuse_unknown_keys(self.params, PARAMS, "parameters: ")
         self.params = {key: PARAMS[key].check(key, v) for key, v in self.params.items()}
         # the default window counts only for the methods that read it
         drop = self.param("drop_rate")

@@ -17,7 +17,7 @@ from typing import Any
 import yaml
 
 from . import dtypes
-from .errors import ConfigError
+from .errors import ConfigError, refuse_unknown_keys
 from .merge_methods import METHODS, MergeMethod
 
 _TOP_KEYS = {"method", "models", "base_model", "parameters", "output"}
@@ -113,25 +113,21 @@ def _apply_override(raw: dict[str, Any], item: str, source: str) -> None:
         value = load_yaml(value_text)
     except yaml.YAMLError:
         value = value_text
+    # each segment descends as if another followed; the last step's entry
+    # (a new {} or a model's mapping form) is then replaced by the value
     node: Any = raw
-    for seg in segments[:-1]:
+    for seg in segments:
         if isinstance(node, list):
-            idx = _list_index(node, seg, item, source)
-            if node is raw.get("models") and isinstance(node[idx], str):
-                node[idx] = {"path": node[idx]}  # the mapping form of a plain path
-            node = node[idx]
+            key: Any = _list_index(node, seg, item, source)
+            if node is raw.get("models") and isinstance(node[key], str):
+                node[key] = {"path": node[key]}  # the mapping form of a plain path
         elif isinstance(node, dict):
-            node = node.setdefault(seg, {})
+            key = seg
+            node.setdefault(key, {})
         else:
             raise ConfigError(f"{source}: override {item!r} descends into a scalar")
-    leaf = segments[-1]
-    if isinstance(node, list):
-        idx = _list_index(node, leaf, item, source)
-        node[idx] = value
-    elif isinstance(node, dict):
-        node[leaf] = value
-    else:
-        raise ConfigError(f"{source}: override {item!r} descends into a scalar")
+        parent, node = node, node[key]
+    parent[key] = value
 
 
 def _list_index(node: list, seg: str, item: str, source: str) -> int:
@@ -145,9 +141,7 @@ def _list_index(node: list, seg: str, item: str, source: str) -> int:
 
 
 def _validate(raw: dict[str, Any], source: str) -> MergeRecipe:
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"{source}: unknown key {sorted(unknown)[0]!r} (typo?)")
+    refuse_unknown_keys(raw, _TOP_KEYS, f"{source}: ")
     for key in ("method", "models", "output"):
         if key not in raw:
             raise ConfigError(f"{source}: missing required key {key!r}")
@@ -191,9 +185,7 @@ def _validate_models(node: Any, source: str) -> list[ModelEntry]:
             entry = {"path": entry}
         if not isinstance(entry, dict):
             raise ConfigError(f"{source}: models[{i}] must be a mapping or path string")
-        unknown = set(entry) - _MODEL_KEYS
-        if unknown:
-            raise ConfigError(f"{source}: models[{i}]: unknown key {sorted(unknown)[0]!r} (typo?)")
+        refuse_unknown_keys(entry, _MODEL_KEYS, f"{source}: models[{i}]: ")
         if "path" not in entry or not isinstance(entry["path"], str):
             raise ConfigError(f"{source}: models[{i}] needs a 'path' string")
         weight = entry.get("weight", 1.0)
@@ -240,9 +232,7 @@ def _validate_params(kind: str, node: Any, source: str) -> tuple[MergeMethod, st
 def _validate_output(node: Any, source: str) -> tuple[Path, str]:
     if not isinstance(node, dict):
         raise ConfigError(f"{source}: output must be a mapping")
-    unknown = set(node) - _OUTPUT_KEYS
-    if unknown:
-        raise ConfigError(f"{source}: output: unknown key {sorted(unknown)[0]!r} (typo?)")
+    refuse_unknown_keys(node, _OUTPUT_KEYS, f"{source}: output: ")
     if "path" not in node or not isinstance(node["path"], str):
         raise ConfigError(f"{source}: output needs a 'path' string")
     dtype = node.get("dtype", "f32")

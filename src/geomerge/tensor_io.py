@@ -393,12 +393,18 @@ def read_checkpoint(
         return handle.load_all(precision, strict)
 
 
-def check_output_path(path: str | os.PathLike) -> None:
-    """Refuse an output ``path`` that names a directory before any tensor is
-    merged; a symlink to one is left to the final rename, which replaces it."""
+def check_output_path(path: str | os.PathLike, renamed: bool = True) -> None:
+    """Refuse, before any payload is read, an output ``path`` that names a
+    directory, or whose parent is missing or not a directory, with the error
+    its creation would give.  A symlink to a directory is refused only where
+    the write follows it: a file ``renamed`` over ``path`` replaces the link."""
     path = Path(path)
-    if path.is_dir() and not path.is_symlink():
+    if path.is_dir() and not (renamed and path.is_symlink()):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    try:  # the trailing separator makes a parent that is not a directory ENOTDIR
+        os.stat(os.path.join(path.parent, ""))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 class CheckpointWriter:
