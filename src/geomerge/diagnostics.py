@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, NonFiniteError
+from .errors import AlignmentError, DTypeOverflowError, NonFiniteError
 from .rng import keyed_stream
 from .sphere import DEGENERATE_NORM, norm, normalized_weights
 from .tensor_io import Checkpoint
@@ -73,6 +73,10 @@ class SpectralStats:
 METRIC_NAMES = tuple(f.name for f in fields(SpectralStats))
 
 
+#: The square root of float64's smallest normal value.
+_ROOT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
 def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of the feature covariance of row-centered data.
 
@@ -90,12 +94,21 @@ def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise NonFiniteError("covariance_spectrum input contains NaN/Inf")
     n, d = x.shape
-    centered = x - x.mean(axis=0, keepdims=True)
-    if n < d:
-        gram = centered @ centered.T / (n - 1)
-    else:
-        gram = centered.T @ centered / (n - 1)
+    # beyond float64's range the Gram or its eigenvalues turn non-finite,
+    # refused below; below it every product of the Gram underflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0, keepdims=True)
+        if 0.0 < float(np.abs(centered).max()) < _ROOT_TINY:
+            raise DTypeOverflowError("covariance below float64's normal range")
+        if n < d:
+            gram = centered @ centered.T / (n - 1)
+        else:
+            gram = centered.T @ centered / (n - 1)
+    if not np.isfinite(gram).all():
+        raise NonFiniteError("covariance beyond float64 range")
     eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1]
+    if not np.isfinite(eig).all():
+        raise NonFiniteError("covariance beyond float64 range")
     spectrum = np.zeros(d)
     spectrum[: eig.size] = eig
     return spectrum
@@ -136,13 +149,29 @@ def stable_rank(spectrum: np.ndarray) -> float:
     return float(lam.sum()) / lmax
 
 
+def _power_of_two_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a`` times 2**-e and e, the binary exponent of its largest magnitude.
+
+    The largest magnitude lands in [0.5, 1), so squares and sums stay in
+    float64's range; the scaling is exact but for entries it takes below
+    the normal range.
+    """
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return np.ldexp(a, -e), e
+
+
 def participation_ratio(spectrum: np.ndarray) -> float:
-    """(sum lambda)^2 / sum lambda^2 (0 on an all-zero spectrum)."""
+    """(sum lambda)^2 / sum lambda^2 (0 on an all-zero spectrum).
+
+    Scale-free: it is computed on the spectrum scaled by a power of two,
+    which leaves the ratio's bits unchanged where the plain form neither
+    overflows nor underflows.
+    """
     lam = _spectrum(spectrum)
-    denom = float(np.sum(lam**2))
-    if denom <= 0.0:
+    if lam.max() <= 0.0:
         return 0.0
-    return float(lam.sum()) ** 2 / denom
+    lam = _power_of_two_scaled(lam)[0]
+    return float(lam.sum()) ** 2 / float(np.sum(lam**2))
 
 
 def numerical_rank(spectrum: np.ndarray, rel_tol: float | None = None) -> int:
@@ -240,17 +269,36 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
     n = x.shape[0]
     # a row per metric, a column per draw
     table = np.empty((len(METRIC_NAMES), draws))
-    for k in range(draws):
-        rng = keyed_stream(seed, f"bootstrap:{activations.label}", k)
-        idx = rng.integers(0, n, size=n)
-        table[:, k] = astuple(spectral_stats(x[idx]))
     metrics = {}
-    for metric, vals in zip(METRIC_NAMES, table):
-        std = float(np.std(vals, ddof=1)) if draws > 1 else 0.0
-        metrics[metric] = {"mean": float(vals.mean()), "std": std}
+    # a covariance outside float64's range, or a statistic beyond it, is
+    # refused with the layer's name, and no overflow warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for k in range(draws):
+                rng = keyed_stream(seed, f"bootstrap:{activations.label}", k)
+                idx = rng.integers(0, n, size=n)
+                table[:, k] = astuple(spectral_stats(x[idx]))
+            for metric, vals in zip(METRIC_NAMES, table):
+                mean, std = _mean_std(vals)
+                if not (math.isfinite(mean) and math.isfinite(std)):
+                    raise NonFiniteError(f"{metric} beyond float64 range")
+                metrics[metric] = {"mean": mean, "std": std}
+        except (NonFiniteError, DTypeOverflowError) as exc:
+            raise type(exc)(f"layer {activations.label!r}: {exc}") from None
     return LayerDiagnostics(
         label=activations.label, samples=n, features=x.shape[1], metrics=metrics
     )
+
+
+def _mean_std(vals: np.ndarray) -> tuple[float, float]:
+    """The mean and sample std (0 for one draw) of one metric's draws.
+
+    Both are taken on the draws scaled by a power of two, so their squares
+    stay in float64's range, and scaled back (non-finite past its top).
+    """
+    scaled, e = _power_of_two_scaled(vals)
+    std = np.std(scaled, ddof=1) if scaled.size > 1 else 0.0
+    return float(np.ldexp(scaled.mean(), e)), float(np.ldexp(std, e))
 
 
 def diagnostics_report(
@@ -375,10 +423,12 @@ def toy_forward_collect(
         bias = biases[k - 1] if biases is not None else None
         b = None if bias is None else np.asarray(bias, dtype=np.float64).reshape(-1)
         check_layer_shapes(k, x.shape[1], w.shape, None if b is None else b.size)
-        z = x @ w
-        if b is not None:
-            z = z + b
-        x = fn(z)
+        # an overflow shows as a non-finite entry, refused by ActivationMatrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x @ w
+            if b is not None:
+                z = z + b
+            x = fn(z)
         collected.append(ActivationMatrix(label=f"layer_{k}", samples=x))
     return collected
 
@@ -397,7 +447,7 @@ def weight_norm_report(
     m = len(sources)
     if m == 0:
         raise ValueError("weight_norm_report requires at least one source")
-    alphas = np.full(m, 1.0 / m) if weights is None else normalized_weights(weights, m)
+    alphas = normalized_weights(np.ones(m) if weights is None else weights, m)
 
     rows: list[dict[str, Any]] = []
     for name in merged.names():

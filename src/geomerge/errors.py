@@ -19,10 +19,18 @@ class ConfigError(GeomergeError):
 
 def refuse_unknown_keys(node: Iterable, allowed: Iterable[str], where: str) -> None:
     """Refuse the first key of ``node``, in sorted order, that is not in
-    ``allowed``; ``where`` (``"r.yaml: "``, say) starts the message."""
+    ``allowed``; ``where`` (``"r.yaml: "``, say) starts the message.
+
+    Keys of mixed YAML types (``1`` beside ``zz``) do not sort; the first
+    by ``repr`` is named then.
+    """
     unknown = set(node).difference(allowed)
     if unknown:
-        raise ConfigError(f"{where}unknown key {sorted(unknown)[0]!r} (typo?)")
+        try:
+            first = sorted(unknown)[0]
+        except TypeError:
+            first = min(unknown, key=repr)
+        raise ConfigError(f"{where}unknown key {first!r} (typo?)")
 
 
 class ContainerError(GeomergeError):

@@ -453,7 +453,7 @@ def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.nda
     c = float(np.mean(cosines))
     c = min(max(c, -1.0 / (m - 1) + 1e-6), 1.0)
     t = m * c / (1.0 + (m - 1) * c)
-    expert_mean = weighted_sum(experts, np.full(m, 1.0 / m))
+    expert_mean = weighted_sum(experts, normalized_weights(np.ones(m), m))
     return t * expert_mean + (1.0 - t) * b
 
 
@@ -562,11 +562,12 @@ class MergeJob:
 @dataclass
 class TensorStats:
     name: str
-    iterations: int | None
-    residual: float | None
-    converged: bool | None
     norm_in: list[float]
     norm_out: float
+    #: the solver's :class:`SolverStats`; None for a rule that runs no solver
+    iterations: int | None = None
+    residual: float | None = None
+    converged: bool | None = None
     #: the solver stopped on a stall rather than at max_iter; told in the log only
     stalled: bool = False
 
@@ -626,13 +627,10 @@ def run_merge(job: MergeJob) -> MergeSummary:
     """
     start = time.perf_counter()
     sources = list(job.sources)
+    m = len(sources)
     method = job.method
-    method.validate_sources(len(sources), job.base is not None)
-    weights = (
-        np.full(len(sources), 1.0 / len(sources))
-        if job.weights is None
-        else normalized_weights(job.weights, len(sources))
-    )
+    method.validate_sources(m, job.base is not None)
+    weights = normalized_weights(np.ones(m) if job.weights is None else job.weights, m)
 
     align_set: list[CheckpointHandle] = sources + ([job.base] if method.needs_base else [])
     if len(align_set) >= 2:
@@ -661,7 +659,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
         stack = work.take("stack", (len(align_set), count))
         for handle, row in zip(align_set, stack):
             handle.load_tensor(name, job.precision, strict=True, out=row)
-        flats = stack[: len(sources)]
+        flats = stack[:m]
         base_flat = stack[-1] if method.needs_base else None
         # taken before the rule may turn the rows into deltas, checked after
         norm_in = [norm(f) for f in flats]
@@ -672,13 +670,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
             )
         merged, stats = out if isinstance(out, tuple) else (out, None)
         tensor_stats = TensorStats(
-            name=name,
-            iterations=stats.iterations if stats else None,
-            residual=stats.residual if stats else None,
-            converged=stats.converged if stats else None,
-            norm_in=norm_in,
-            norm_out=norm(merged),
-            stalled=stats.stalled if stats else False,
+            name=name, norm_in=norm_in, norm_out=norm(merged), **(asdict(stats) if stats else {})
         )
         # a norm is finite when every entry is, unless it exceeds float64's range
         if not all(map(math.isfinite, [*tensor_stats.norm_in, tensor_stats.norm_out])):

@@ -235,3 +235,45 @@ def test_toy_forward_spec_refusal(files, capsys, reads, case):
     argv = ["diagnose", "net.st", "--out", "r.json", "--toy-forward", "s.yaml"]
     _refused(capsys, reads, argv, 1, f"s.yaml: {message}")
     assert not (files / "r.json").exists()
+
+
+# -- unknown keys of mixed YAML types --------------------------------------------------
+
+# Keys that do not sort (an int beside a string) are named by repr order,
+# where "'zz'" comes before "1".
+MIXED_KEYS = {
+    "top level": ("merge", LERP + "1: x\nzz: y\n", "unknown key 'zz' (typo?)"),
+    "model entry": (
+        "merge",
+        "method: lerp\nmodels: [{path: a.st, 1: x, zz: y}, b.st]\n" + OUTPUT,
+        "models[0]: unknown key 'zz' (typo?)",
+    ),
+    "parameters": (
+        "merge",
+        LERP + "parameters: {1: x, zz: y}\n",
+        "parameters: unknown key 'zz' (typo?)",
+    ),
+    "output": (
+        "merge",
+        "method: lerp\n" + MODELS + "output: {path: o.st, 1: x, zz: y}\n",
+        "output: unknown key 'zz' (typo?)",
+    ),
+    "toy-forward spec": ("diagnose", "layers: [w0]\n1: x\nzz: y\n", "unknown key 'zz' (typo?)"),
+}
+
+
+@pytest.mark.parametrize("case", list(MIXED_KEYS))
+def test_unknown_keys_of_mixed_types(files, capsys, reads, case):
+    command, text, message = MIXED_KEYS[case]
+    (files / "r.yaml").write_text(text)
+    if command == "merge":
+        argv = ["merge", "r.yaml"]
+    else:
+        argv = ["diagnose", "net.st", "--out", "r.json", "--toy-forward", "r.yaml"]
+    _refused(capsys, reads, argv, 1, f"r.yaml: {message}")
+    assert not (files / "o.st").exists() and not (files / "r.json").exists()
+
+
+def test_unknown_keys_of_one_type_keep_sorted_order(files, capsys, reads):
+    (files / "r.yaml").write_text(LERP + "2: x\n10: y\n")
+    _refused(capsys, reads, ["merge", "r.yaml"], 1, "r.yaml: unknown key 2 (typo?)")
