@@ -46,7 +46,8 @@ from .errors import AlignmentError, ConfigError, DegenerateError, NonFiniteError
 from .sphere import (
     DEGENERATE_NORM,
     KarcherConfig,
-    combine_rows,
+    column_blocks,
+    combined_norm,
     inner,
     karcher_mean,
     norm,
@@ -179,6 +180,14 @@ class MergeMethod:
         if spec.needs_base and not has_base:
             raise ConfigError(f"{self.kind} requires a base model")
 
+    def validate_weights(self, weights: Sequence[float] | None) -> None:
+        """Refuse unequal model weights for a method whose rule reads none."""
+        if weights is not None and not self.spec.weighted and len(set(weights)) > 1:
+            raise ConfigError(
+                f"{self.kind} does not weight its models; give them equal weights or none "
+                f"(got {', '.join(f'{float(v):g}' for v in weights)})"
+            )
+
 
 def _as_f64(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(-1)
@@ -223,15 +232,23 @@ def weighted_sum(
 
 
 def _rows_equal(stack: np.ndarray) -> bool:
-    return all(np.array_equal(stack[0], row) for row in stack[1:])
+    """Whether every row equals the first, compared one column block at a
+    time up to the first block that differs."""
+    for cols in column_blocks(stack.shape[1]):
+        block = stack[:, cols]
+        if not all(np.array_equal(block[0], row) for row in block[1:]):
+            return False
+    return True
 
 
 #: Beyond this norm the squared norm, and so the solver's Gram matrix, overflows.
 _MAX_NORM = math.sqrt(sys.float_info.max)
 
 
-def _row_norms(stack: np.ndarray) -> np.ndarray:
-    norms = np.array([norm(row) for row in stack])
+def _row_norms(stack: np.ndarray, norms: Sequence[float] | None = None) -> np.ndarray:
+    """The rows' norms, or ``norms`` where the caller took them already with
+    :func:`norm`, refused when one is not finite or its square overflows."""
+    norms = np.array([norm(row) for row in stack] if norms is None else norms, dtype=np.float64)
     bad = np.flatnonzero(~(norms <= _MAX_NORM))  # NaN compares false
     if bad.size:
         raise NonFiniteError(
@@ -265,14 +282,19 @@ def merge_slerp(a: np.ndarray, b: np.ndarray, t: float = 0.5) -> np.ndarray:
 
 
 def merge_multislerp(
-    tensors: Sequence[np.ndarray], weights: Sequence[float], *, out: np.ndarray | None = None
+    tensors: Sequence[np.ndarray],
+    weights: Sequence[float],
+    *,
+    out: np.ndarray | None = None,
+    norms: Sequence[float] | None = None,
 ) -> np.ndarray:
     """One tangent-space average of all source directions (into ``out``, if given).
 
     Directions are averaged in the tangent space at the normalized weighted
     Euclidean mean, then mapped back and rescaled by the weighted mean of
     the source norms: a single unit-step of the barycenter iteration from
-    the chord initialization.
+    the chord initialization.  ``norms``, if given, are the sources' norms
+    as :func:`norm` gives them, and are not taken again.
     """
     if len(tensors) < 2:
         raise ValueError("multislerp requires at least 2 tensors")
@@ -282,11 +304,11 @@ def merge_multislerp(
     if _rows_equal(stack):
         np.copyto(out, stack[0])
         return out
-    norms = _row_norms(stack)
+    norms = _row_norms(stack, norms)
     zero = np.flatnonzero(norms < DEGENERATE_NORM)
     if zero.size:
         raise DegenerateError(f"multislerp source {int(zero[0])} has (near-)zero norm")
-    if norm(combine_rows(w / norms, stack)) < DEGENERATE_NORM:
+    if combined_norm(w / norms, stack) < DEGENERATE_NORM:
         logger.warning("multislerp basepoint degenerate (symmetric sources); using lerp")
         return weighted_sum(stack, w, out)
     # the smallest positive tol never stops the loop before its single step
@@ -300,13 +322,15 @@ def merge_karcher(
     config: KarcherConfig | None = None,
     *,
     out: np.ndarray | None = None,
+    norms: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, SolverStats]:
     """Norm-preserving geodesic barycenter merge (into ``out``, if given).
 
     Sources with degenerate norm are excluded from the spherical solve and
     their weight redistributed; if every source is degenerate the weighted
     Euclidean mean is returned.  The merged direction is rescaled by the
-    weighted mean of all source norms.
+    weighted mean of all source norms.  ``norms``, if given, are the
+    sources' norms as :func:`norm` gives them, and are not taken again.
     """
     w = normalized_weights(weights, len(tensors))
     stack = stack_rows(tensors)
@@ -314,7 +338,7 @@ def merge_karcher(
     if _rows_equal(stack):
         np.copyto(out, stack[0])
         return out, SolverStats(0, 0.0, True)
-    norms = _row_norms(stack)
+    norms = _row_norms(stack, norms)
     live = norms >= DEGENERATE_NORM
     if not live.any():
         return weighted_sum(stack, w, out), SolverStats(0, 0.0, True)
@@ -460,10 +484,12 @@ def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.nda
 # -- method registry -----------------------------------------------------------
 
 #: A rule merges one tensor: (parameter lookup, tensor name, source flats,
-#: base flat or None, normalized weights, out=None) -> merged flat, or
-#: (merged flat, SolverStats) for the barycenter solver.  Given ``out`` (as
-#: ``run_merge`` does), the flats are an m x n float64 stack that the rule
-#: may overwrite, and a rule that can writes its result into ``out``.
+#: base flat or None, normalized weights, out=None, norms=None) -> merged
+#: flat, or (merged flat, SolverStats) for the barycenter solver.  Given
+#: ``out`` (as ``run_merge`` does), the flats are an m x n float64 stack that
+#: the rule may overwrite, and a rule that can writes its result into
+#: ``out``.  ``norms``, if given, are the flats' norms from :func:`norm`,
+#: which the spherical rules then do not take again; the others ignore them.
 Rule = Callable[..., Any]
 
 
@@ -472,9 +498,10 @@ class MethodSpec:
     """What one merge method reads and needs.
 
     ``reads`` names the parameters the rule uses; the summary reports them
-    with their effective values.  The rules look the merge functions up by
-    their module names at call time, so a wrapped or patched function is
-    the one that runs.
+    with their effective values.  ``weighted`` says whether the rule reads
+    the model weights; a method whose rule reads none refuses unequal ones.
+    The rules look the merge functions up by their module names at call
+    time, so a wrapped or patched function is the one that runs.
     """
 
     reads: tuple[str, ...]
@@ -482,6 +509,7 @@ class MethodSpec:
     needs_base: bool = False
     min_sources: int = 1
     max_sources: int | None = None
+    weighted: bool = True
 
 
 def _delta_method(*reads: str) -> MethodSpec:
@@ -492,7 +520,13 @@ def _delta_method(*reads: str) -> MethodSpec:
     combine = "ties" if "density" in reads else "lerp"
 
     def rule(
-        p: Callable[[str], Any], name: str, flats: Any, base: Any, w: np.ndarray, out: Any = None
+        p: Callable[[str], Any],
+        name: str,
+        flats: Any,
+        base: Any,
+        w: np.ndarray,
+        out: Any = None,
+        **_: Any,
     ) -> Any:
         drop = {key: p(key) if key in reads else 0.0 for key in ("drop_rate", "window")}
         spec = SparsifySpec(density=p("density"), seed=p("seed"), **drop)
@@ -505,21 +539,20 @@ def _delta_method(*reads: str) -> MethodSpec:
 METHODS: dict[str, MethodSpec] = {
     "karcher": MethodSpec(
         ("eta", "tol", "max_iter"),
-        lambda p, name, flats, base, w, out=None: merge_karcher(
-            flats, w, KarcherConfig(eta=p("eta"), tol=p("tol"), max_iter=p("max_iter")), out=out
+        lambda p, name, flats, base, w, **kw: merge_karcher(
+            flats, w, KarcherConfig(eta=p("eta"), tol=p("tol"), max_iter=p("max_iter")), **kw
         ),
     ),
-    "lerp": MethodSpec((), lambda p, name, flats, base, w, out=None: merge_lerp(flats, w)),
+    "lerp": MethodSpec((), lambda p, name, flats, base, w, **_: merge_lerp(flats, w)),
     "slerp": MethodSpec(
         ("t",),
-        lambda p, name, flats, base, w, out=None: merge_slerp(flats[0], flats[1], p("t")),
+        lambda p, name, flats, base, w, **_: merge_slerp(flats[0], flats[1], p("t")),
         min_sources=2,
         max_sources=2,
+        weighted=False,
     ),
     "multislerp": MethodSpec(
-        (),
-        lambda p, name, flats, base, w, out=None: merge_multislerp(flats, w, out=out),
-        min_sources=2,
+        (), lambda p, name, flats, base, w, **kw: merge_multislerp(flats, w, **kw), min_sources=2
     ),
     "task_arithmetic": _delta_method("lambda"),
     "ties": _delta_method("density"),
@@ -529,9 +562,10 @@ METHODS: dict[str, MethodSpec] = {
     "della_ties": _delta_method("drop_rate", "window", "density", "seed"),
     "model_stock": MethodSpec(
         (),
-        lambda p, name, flats, base, w, out=None: merge_model_stock(base, flats),
+        lambda p, name, flats, base, w, **_: merge_model_stock(base, flats),
         needs_base=True,
         min_sources=2,
+        weighted=False,
     ),
 }
 
@@ -630,6 +664,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
     m = len(sources)
     method = job.method
     method.validate_sources(m, job.base is not None)
+    method.validate_weights(job.weights)
     weights = normalized_weights(np.ones(m) if job.weights is None else job.weights, m)
 
     align_set: list[CheckpointHandle] = sources + ([job.base] if method.needs_base else [])
@@ -666,7 +701,13 @@ def run_merge(job: MergeJob) -> MergeSummary:
         # an overflow or invalid operation shows as a non-finite entry below
         with np.errstate(over="ignore", invalid="ignore"):
             out = method.spec.rule(
-                method.param, name, flats, base_flat, weights, out=work.take("out", count)
+                method.param,
+                name,
+                flats,
+                base_flat,
+                weights,
+                out=work.take("out", count),
+                norms=norm_in,
             )
         merged, stats = out if isinstance(out, tuple) else (out, None)
         tensor_stats = TensorStats(

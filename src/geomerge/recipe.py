@@ -161,6 +161,7 @@ def _validate(raw: dict[str, Any], source: str) -> MergeRecipe:
     out_path, out_dtype = _validate_output(raw["output"], source)
     try:
         method.validate_sources(len(models), base_model is not None)
+        method.validate_weights([entry.weight for entry in models])
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 

@@ -19,12 +19,19 @@ iterate the Gram estimate calls converged but n-space does not is iterated
 further.  The solver has fixed summation order and no state shared between
 tensors, and its n-length products never go through BLAS, so merges stay
 byte-identical for any ``--threads`` value or BLAS thread count.
+
+Every n-space pass of the solver runs over blocks of :data:`COLUMN_BLOCK`
+columns: the Gram matrix is summed block by block, and the chord and the
+residual are combined into one block-sized scratch vector whose squares are
+summed, so the solver holds no n-length vector but the mean it returns.  A
+tensor of at most one block gives the bits of the whole-stack products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -179,8 +186,26 @@ def normalized_weights(weights: "np.ndarray | Sequence[float]", count: int) -> n
 # run these inside their own worker pool, where a threaded BLAS call would
 # wake BLAS's threads to spin on the cores the other workers need, and its
 # partial sums would depend on the host's core count.  einsum sums on the
-# calling thread in an order fixed by the shapes.  The m x m coefficient
-# algebra stays on ``@``: it is far below BLAS's threading size.
+# calling thread in an order fixed by the shapes.  np.vecdot, np.dot and
+# np.inner are no substitute: on float64 they call BLAS ddot, and with a
+# Gram matrix built on np.vecdot the karcher summary changed between
+# OPENBLAS_NUM_THREADS=1 and 2 (tests/test_blas_free.py).  The m x m
+# coefficient algebra stays on ``@``: it is far below BLAS's threading size.
+
+#: Columns per block in the solver's n-space passes (512 KiB of one row).
+#: Each block is a few numpy calls, and a worker takes the GIL back after
+#: each, so smaller blocks lose to the handoffs what they gain in cache.
+#: Two threads each running 8 ``merge_karcher`` calls on 4 x 2**20 float64
+#: sources, on a 2-core x86-64 host (best of 5, three rounds): whole-stack
+#: passes 0.39-0.40 s; blocks of 2**14 columns 0.29-0.32 s, 2**16
+#: 0.27-0.30 s, 2**18 0.29-0.35 s.
+COLUMN_BLOCK = 1 << 16
+
+
+def column_blocks(n: int) -> list[slice]:
+    """Slices of at most :data:`COLUMN_BLOCK` columns covering ``n``; one
+    empty slice when ``n`` is 0, so a sum over the blocks has a first term."""
+    return [slice(j, j + COLUMN_BLOCK) for j in range(0, max(n, 1), COLUMN_BLOCK)]
 
 
 def norm(v: np.ndarray) -> float:
@@ -217,6 +242,23 @@ def row_dots(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
 def gram_matrix(rows: np.ndarray) -> np.ndarray:
     """``<rows[i], rows[j]>`` for every pair of rows."""
     return np.einsum("ik,jk->ij", rows, rows)
+
+
+def combined_norm(coef: np.ndarray, rows: np.ndarray) -> float:
+    """``norm(combine_rows(coef, rows))``, combined one column block at a time
+    into a block-sized scratch vector, with no n-length vector.
+
+    The squares are summed per block and the block sums in order, so at most
+    one block gives :func:`norm`'s bits.  Meant for combinations of unit rows
+    with bounded coefficients, whose sum of squares cannot overflow.
+    """
+    scratch = np.empty(min(rows.shape[1], COLUMN_BLOCK))
+    squares = 0.0
+    for cols in column_blocks(rows.shape[1]):
+        block = rows[:, cols]
+        part = combine_rows(coef, block, scratch[: block.shape[1]])
+        squares += inner(part, part)
+    return math.sqrt(squares)
 
 
 def frechet_objective(
@@ -268,14 +310,20 @@ def _at_iterate(
     stationarity residual there.
 
     Returns (x, beta, gamma, residual) with x re-normalized by its n-space norm
-    and gamma the tangent-mean coefficients from n-space dot products.
+    and gamma the tangent-mean coefficients from n-space dot products.  Each
+    pass (x, the row dots, the residual) runs one column block at a time.
     """
-    x = combine_rows(beta * inv_norms, pts, out)
+    blocks = column_blocks(pts.shape[1])
+    x = np.empty(pts.shape[1]) if out is None else out
+    coef = beta * inv_norms
+    for cols in blocks:
+        combine_rows(coef, pts[:, cols], x[cols])
     x_norm = norm(x)
     x /= x_norm
     beta = beta / x_norm
-    gamma = _tangent_coefficients(row_dots(pts, x) * inv_norms, beta, w, antipodal_eps, iteration)
-    residual = norm(combine_rows(gamma * inv_norms, pts))
+    dots = reduce(np.add, (row_dots(pts[:, cols], x[cols]) for cols in blocks))
+    gamma = _tangent_coefficients(dots * inv_norms, beta, w, antipodal_eps, iteration)
+    residual = combined_norm(gamma * inv_norms, pts)
     return x, beta, gamma, residual
 
 
@@ -297,9 +345,9 @@ def karcher_mean(
     and ``stalled`` says whether a stall or ``max_iter`` ended it.
 
     The iterate is kept as coefficients on the points and the loop runs on
-    their Gram matrix; see the module docstring.  A 2-D float64 ``points``
-    array is used as given, without a copy.  ``out``, if given, is a float64
-    vector that receives the mean.
+    their Gram matrix, summed over column blocks; see the module docstring.
+    A 2-D float64 ``points`` array is used as given, without a copy.
+    ``out``, if given, is a float64 vector that receives the mean.
     """
     cfg = config or KarcherConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -307,7 +355,7 @@ def karcher_mean(
     if m == 0:
         raise ValueError("karcher_mean requires at least one point")
     w = normalized_weights(weights, m)
-    gram = gram_matrix(pts)
+    gram = reduce(np.add, (gram_matrix(pts[:, cols]) for cols in column_blocks(n)))
     norms = np.sqrt(np.diagonal(gram))
     if (norms < DEGENERATE_NORM).any():
         bad = int(np.argmin(norms))
@@ -316,14 +364,12 @@ def karcher_mean(
     inv_norms = 1.0 / norms
     gram *= np.outer(inv_norms, inv_norms)
 
-    chord = combine_rows(w * inv_norms, pts)
-    chord_norm = norm(chord)
+    chord_norm = combined_norm(w * inv_norms, pts)
     if chord_norm < DEGENERATE_NORM:
         beta = np.zeros(m)
         beta[int(np.argmax(w))] = 1.0
     else:
         beta = w / chord_norm
-    del chord
 
     # gamma^T G gamma carries rounding of about this much times ||gamma||_1^2;
     # within it of tol^2 the residual is decided in n-space instead

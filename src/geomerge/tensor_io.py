@@ -39,6 +39,10 @@ from .errors import (
 _HEADER_PREFIX_LEN = 8
 _MAX_HEADER_BYTES = 100 * 1024 * 1024
 
+#: Entries that :meth:`CheckpointWriter.put` encodes and writes at a time, so
+#: its encode buffers hold at most this many (under 3 MiB for bf16).
+_ENCODE_BLOCK = 1 << 18
+
 
 def working_dtype(precision: str) -> np.dtype:
     if precision not in dtypes.WORKING_PRECISIONS:
@@ -483,20 +487,33 @@ class CheckpointWriter:
         """Encode ``array`` and write it at ``name``'s offset.
 
         A value outside the output dtype's range raises
-        :class:`DTypeOverflowError` naming the tensor (or saturates when
-        ``clamp_overflow`` is set).  Each thread encodes into buffers of its
-        own, kept for its next tensor, and writes from them.
+        :class:`DTypeOverflowError` naming the tensor and its largest such
+        value (or saturates when ``clamp_overflow`` is set).  Each thread
+        encodes :data:`_ENCODE_BLOCK` entries at a time into buffers of its
+        own, kept for its next tensor, and writes each block from them.  An
+        array that does not fit the layout is refused before any write.
         """
         offset, nbytes = self._spans[name]
+        flat = np.ravel(array)
+        code, clamp = self.output_dtype, self.clamp_overflow
+        size = dtypes.itemsize(code)
         try:
-            words = dtypes.encode_array(array, self.output_dtype, self.clamp_overflow, self._work)
+            if flat.size * size != nbytes:
+                dtypes.encode_array(flat, code, clamp)  # an overflow is told first
+                raise ValueError(
+                    f"tensor {name!r} encodes to {flat.size * size} bytes, "
+                    f"its layout holds {nbytes}"
+                )
+            for j in range(0, flat.size, _ENCODE_BLOCK):
+                block = flat[j : j + _ENCODE_BLOCK]
+                try:
+                    words = dtypes.encode_array(block, code, clamp, self._work)
+                except DTypeOverflowError:
+                    dtypes.encode_array(flat, code)  # names the whole tensor's largest value
+                    raise
+                self._write_at(words, self._data_start + offset + j * size)
         except DTypeOverflowError as exc:
             raise DTypeOverflowError(f"tensor {name!r}: {exc}") from None
-        if words.nbytes != nbytes:
-            raise ValueError(
-                f"tensor {name!r} encodes to {words.nbytes} bytes, its layout holds {nbytes}"
-            )
-        self._write_at(words, self._data_start + offset)
         with self._lock:
             self._written.add(name)
 

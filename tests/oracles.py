@@ -11,9 +11,11 @@ allocating payload decode, kept to pin the one that decodes in place; and
 ``bootstrap_stats_per_metric``, the bootstrap summary as it was with one
 array per named metric, kept to pin the one-table form; and
 ``diagnose_eager``, the ``diagnose`` report as it was when every tensor of
-the input was read before the first draw, kept to pin the streamed one; and
+the input was read before the first draw, kept to pin the streamed one;
 ``karcher_mean_to_max_iter``, the Gram-coefficient solver as it was before a
-stall ended the solve, kept to pin the stall exit's mean and residual.
+stall ended the solve, kept to pin the stall exit's mean and residual; and
+``karcher_mean_unblocked``, the solver as it was with whole-stack products
+and n-length chord and residual vectors, kept to pin the blocked one.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from geomerge.sphere import (
     gram_matrix,
     norm,
     normalized_weights,
+    row_dots,
 )
 
 
@@ -239,6 +242,82 @@ def karcher_mean_to_max_iter(
             r = float(np.sqrt(r2))
         step = cfg.eta * r
         if step >= _ZERO_ANGLE:
+            beta = np.cos(step) * beta + (np.sin(step) / r) * gamma
+            beta /= float(np.sqrt(beta @ gram @ beta))
+        iteration += 1
+
+
+def _at_iterate_unblocked(
+    pts: np.ndarray,
+    inv_norms: np.ndarray,
+    beta: np.ndarray,
+    w: np.ndarray,
+    antipodal_eps: float,
+    iteration: int,
+    out: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``sphere._at_iterate`` as it was before its passes ran over column
+    blocks: x, its row dots and the residual from whole-stack products, the
+    residual through an n-length vector."""
+    x = combine_rows(beta * inv_norms, pts, out)
+    x_norm = norm(x)
+    x /= x_norm
+    beta = beta / x_norm
+    gamma = _tangent_coefficients(row_dots(pts, x) * inv_norms, beta, w, antipodal_eps, iteration)
+    residual = norm(combine_rows(gamma * inv_norms, pts))
+    return x, beta, gamma, residual
+
+
+def karcher_mean_unblocked(
+    points: np.ndarray,
+    weights: np.ndarray,
+    config: KarcherConfig | None = None,
+    out: np.ndarray | None = None,
+) -> KarcherResult:
+    """``sphere.karcher_mean`` as it was before its n-space passes ran over
+    column blocks: one whole-stack Gram matrix, an n-length chord, and
+    :func:`_at_iterate_unblocked`.  The stall exit is the package's."""
+    cfg = config or KarcherConfig()
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m, n = pts.shape
+    if m == 0:
+        raise ValueError("karcher_mean requires at least one point")
+    w = normalized_weights(weights, m)
+    gram = gram_matrix(pts)
+    norms = np.sqrt(np.diagonal(gram))
+    if (norms < DEGENERATE_NORM).any():
+        bad = int(np.argmin(norms))
+        raise ValueError(f"point {bad} has (near-)zero norm; not a direction")
+    inv_norms = 1.0 / norms
+    gram *= np.outer(inv_norms, inv_norms)
+    chord_norm = norm(combine_rows(w * inv_norms, pts))
+    if chord_norm < DEGENERATE_NORM:
+        beta = np.zeros(m)
+        beta[int(np.argmax(w))] = 1.0
+    else:
+        beta = w / chord_norm
+    slack = 16.0 * (m + np.sqrt(n)) * np.finfo(np.float64).eps
+    iteration = 0
+    stalled = False
+    while True:
+        gamma = _tangent_coefficients(gram @ beta, beta, w, cfg.antipodal_eps, iteration)
+        r2 = float(gamma @ gram @ gamma)
+        last = stalled or iteration == cfg.max_iter
+        if last or r2 < cfg.tol**2 + slack * float(np.abs(gamma).sum()) ** 2:
+            x, beta, gamma, residual = _at_iterate_unblocked(
+                pts, inv_norms, beta, w, cfg.antipodal_eps, iteration, out
+            )
+            if residual < cfg.tol or last:
+                converged = residual < cfg.tol
+                return KarcherResult(
+                    x, iteration, residual, converged, stalled=stalled and not converged
+                )
+            r = residual
+        else:
+            r = float(np.sqrt(r2))
+        step = cfg.eta * r
+        stalled = step < _ZERO_ANGLE
+        if not stalled:
             beta = np.cos(step) * beta + (np.sin(step) / r) * gamma
             beta /= float(np.sqrt(beta @ gram @ beta))
         iteration += 1
