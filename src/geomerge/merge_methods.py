@@ -44,6 +44,7 @@ from .delta_ops import (
 )
 from .errors import AlignmentError, ConfigError, DegenerateError, NonFiniteError, refuse_unknown_keys
 from .sphere import (
+    COLUMN_BLOCK,
     DEGENERATE_NORM,
     KarcherConfig,
     column_blocks,
@@ -193,12 +194,6 @@ def _as_f64(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(-1)
 
 
-#: Entries per product in :func:`weighted_sum` (512 KiB).  Each block is two
-#: numpy calls, and a worker takes the GIL back after each; blocks much
-#: smaller than this leave two workers waiting on each other for it.
-_SUM_BLOCK = 1 << 16
-
-
 def weighted_sum(
     vectors: Iterable[np.ndarray], weights: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -207,9 +202,9 @@ def weighted_sum(
     The sum starts from +0.0, as a zero vector would, and adds the products
     in order; ``vectors`` may be a generator, so only one of them need be
     held at a time.  Each vector is widened inside its product, and the
-    products are made ``_SUM_BLOCK`` entries at a time, so no n-length
-    product is.  ``out``, if given, is a float64 vector that receives the
-    sum.
+    products are made one :func:`column_blocks` block at a time, so no
+    n-length product is.  ``out``, if given, is a float64 vector that
+    receives the sum.
     """
     acc = out
     if acc is not None:
@@ -220,14 +215,12 @@ def weighted_sum(
         if acc is None:
             acc = np.zeros(flat.size)
         if product is None:
-            product = np.empty(min(acc.size, _SUM_BLOCK))
+            product = np.empty(min(acc.size, COLUMN_BLOCK))
         if flat.size != acc.size:
             raise ValueError(f"length mismatch: the sum has {acc.size}, a vector {flat.size}")
-        for j in range(0, acc.size, _SUM_BLOCK):
-            part = np.multiply(
-                flat[j : j + _SUM_BLOCK], w_i, out=product[: acc.size - j], dtype=np.float64
-            )
-            acc[j : j + _SUM_BLOCK] += part
+        for cols in column_blocks(acc.size):
+            block = flat[cols]
+            acc[cols] += np.multiply(block, w_i, out=product[: block.size], dtype=np.float64)
     return acc
 
 
@@ -290,30 +283,26 @@ def merge_multislerp(
 ) -> np.ndarray:
     """One tangent-space average of all source directions (into ``out``, if given).
 
-    Directions are averaged in the tangent space at the normalized weighted
-    Euclidean mean, then mapped back and rescaled by the weighted mean of
-    the source norms: a single unit-step of the barycenter iteration from
-    the chord initialization.  ``norms``, if given, are the sources' norms
-    as :func:`norm` gives them, and are not taken again.
+    :func:`merge_karcher` stopped after its single unit step from the chord,
+    with refusals of its own: a (near-)zero-norm source is refused, and a
+    degenerate chord warns and falls back to lerp.  ``norms``, if given, are
+    the sources' norms as :func:`norm` gives them, and are not taken again.
     """
     if len(tensors) < 2:
         raise ValueError("multislerp requires at least 2 tensors")
     w = normalized_weights(weights, len(tensors))
     stack = stack_rows(tensors)
-    out = np.empty(stack.shape[1]) if out is None else out
-    if _rows_equal(stack):
-        np.copyto(out, stack[0])
-        return out
-    norms = _row_norms(stack, norms)
-    zero = np.flatnonzero(norms < DEGENERATE_NORM)
-    if zero.size:
-        raise DegenerateError(f"multislerp source {int(zero[0])} has (near-)zero norm")
-    if combined_norm(w / norms, stack) < DEGENERATE_NORM:
-        logger.warning("multislerp basepoint degenerate (symmetric sources); using lerp")
-        return weighted_sum(stack, w, out)
+    if not _rows_equal(stack):
+        norms = _row_norms(stack, norms)
+        zero = np.flatnonzero(norms < DEGENERATE_NORM)
+        if zero.size:
+            raise DegenerateError(f"multislerp source {int(zero[0])} has (near-)zero norm")
+        if combined_norm(w / norms, stack) < DEGENERATE_NORM:
+            logger.warning("multislerp basepoint degenerate (symmetric sources); using lerp")
+            return weighted_sum(stack, w, out)
     # the smallest positive tol never stops the loop before its single step
     one_step = KarcherConfig(eta=1.0, tol=sys.float_info.min, max_iter=1)
-    return np.multiply(karcher_mean(stack, w, one_step, out).mean, float(w @ norms), out=out)
+    return merge_karcher(stack, weights, one_step, out=out, norms=norms)[0]
 
 
 def merge_karcher(
@@ -326,11 +315,11 @@ def merge_karcher(
 ) -> tuple[np.ndarray, SolverStats]:
     """Norm-preserving geodesic barycenter merge (into ``out``, if given).
 
-    Sources with degenerate norm are excluded from the spherical solve and
-    their weight redistributed; if every source is degenerate the weighted
-    Euclidean mean is returned.  The merged direction is rescaled by the
-    weighted mean of all source norms.  ``norms``, if given, are the
-    sources' norms as :func:`norm` gives them, and are not taken again.
+    Sources of degenerate norm are left out of the spherical solve and their
+    weight redistributed; if every source of nonzero weight is degenerate,
+    the weighted Euclidean mean is returned.  The merged direction is
+    rescaled by the weighted mean of all source norms.  ``norms``, if given,
+    are the sources' norms as :func:`norm` gives them, and are not taken again.
     """
     w = normalized_weights(weights, len(tensors))
     stack = stack_rows(tensors)
@@ -340,7 +329,7 @@ def merge_karcher(
         return out, SolverStats(0, 0.0, True)
     norms = _row_norms(stack, norms)
     live = norms >= DEGENERATE_NORM
-    if not live.any():
+    if not w[live].any():
         return weighted_sum(stack, w, out), SolverStats(0, 0.0, True)
     result = karcher_mean(stack if live.all() else stack[live], w[live], config, out)
     stats = SolverStats(result.iterations, result.residual, result.converged, result.stalled)
@@ -453,19 +442,27 @@ def merge_della(
     return np.add(b, out, out=out)
 
 
-def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.ndarray:
+def merge_model_stock(
+    base: np.ndarray, experts: Sequence[np.ndarray], *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Interpolate between the base and the expert mean by delta agreement.
 
     The ratio t = m*c / (1 + (m-1)*c) comes from the mean pairwise cosine c
     of the expert deltas: identical deltas (c=1) give the expert mean,
     orthogonal deltas (c=0) fall back to the base.  Zero-norm deltas count
     as cosine 1 with everything.
+
+    Given ``out``, the result is written there and the deltas are made in
+    the rows of ``experts``, as in :func:`merge_della`; else none is modified.
     """
     m = len(experts)
     if m < 2:
         raise ValueError(f"model_stock requires at least 2 experts, got {m}")
-    b = _as_f64(base)
-    deltas = [task_vector(e, b) for e in experts]
+    b = np.ravel(base)
+    rows = repeat(None) if out is None else stack_rows(experts)
+    # the mean first, since the deltas may be made over the experts' rows
+    out = weighted_sum(experts, normalized_weights(np.ones(m), m), out)
+    deltas = [task_vector(e, b, out=row) for e, row in zip(experts, rows)]
     norms = [norm(d) for d in deltas]
     cosines = []
     for i in range(m):
@@ -477,20 +474,23 @@ def merge_model_stock(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.nda
     c = float(np.mean(cosines))
     c = min(max(c, -1.0 / (m - 1) + 1e-6), 1.0)
     t = m * c / (1.0 + (m - 1) * c)
-    expert_mean = weighted_sum(experts, normalized_weights(np.ones(m), m))
-    return t * expert_mean + (1.0 - t) * b
+    for cols in column_blocks(b.size):
+        out[cols] *= t
+        out[cols] += np.multiply(b[cols], 1.0 - t, dtype=np.float64)
+    return out
 
 
 # -- method registry -----------------------------------------------------------
 
 #: A rule merges one tensor: (parameter lookup, tensor name, source flats,
-#: base flat or None, normalized weights, out=None, norms=None) -> merged
-#: flat, or (merged flat, SolverStats) for the barycenter solver.  Given
-#: ``out`` (as ``run_merge`` does), the flats are an m x n float64 stack that
-#: the rule may overwrite, and a rule that can writes its result into
-#: ``out``.  ``norms``, if given, are the flats' norms from :func:`norm`,
-#: which the spherical rules then do not take again; the others ignore them.
-Rule = Callable[..., Any]
+#: base flat or None, normalized weights, out=None, norms=None) -> (merged
+#: flat, SolverStats or None); only the barycenter solver gives stats.
+#: Given ``out`` (as ``run_merge`` does), the flats are an m x n float64
+#: stack that the rule may overwrite, and a rule that can writes its result
+#: into ``out``.  ``norms``, if given, are the flats' norms from
+#: :func:`norm`, which the spherical rules then do not take again; the
+#: others ignore them.
+Rule = Callable[..., tuple[np.ndarray, SolverStats | None]]
 
 
 @dataclass(frozen=True)
@@ -531,7 +531,7 @@ def _delta_method(*reads: str) -> MethodSpec:
         drop = {key: p(key) if key in reads else 0.0 for key in ("drop_rate", "window")}
         spec = SparsifySpec(density=p("density"), seed=p("seed"), **drop)
         scaling = p("lambda") if "lambda" in reads else 1.0
-        return merge_della(base, flats, w, spec, combine, name, scaling=scaling, out=out)
+        return merge_della(base, flats, w, spec, combine, name, scaling=scaling, out=out), None
 
     return MethodSpec(reads, rule, needs_base=True)
 
@@ -543,16 +543,17 @@ METHODS: dict[str, MethodSpec] = {
             flats, w, KarcherConfig(eta=p("eta"), tol=p("tol"), max_iter=p("max_iter")), **kw
         ),
     ),
-    "lerp": MethodSpec((), lambda p, name, flats, base, w, **_: merge_lerp(flats, w)),
+    "lerp": MethodSpec((), lambda p, name, flats, base, w, **_: (merge_lerp(flats, w), None)),
     "slerp": MethodSpec(
         ("t",),
-        lambda p, name, flats, base, w, **_: merge_slerp(flats[0], flats[1], p("t")),
+        lambda p, name, flats, base, w, **_: (merge_slerp(flats[0], flats[1], p("t")), None),
         min_sources=2,
         max_sources=2,
         weighted=False,
     ),
     "multislerp": MethodSpec(
-        (), lambda p, name, flats, base, w, **kw: merge_multislerp(flats, w, **kw), min_sources=2
+        (), lambda p, name, flats, base, w, **kw: (merge_multislerp(flats, w, **kw), None),
+        min_sources=2,
     ),
     "task_arithmetic": _delta_method("lambda"),
     "ties": _delta_method("density"),
@@ -562,7 +563,9 @@ METHODS: dict[str, MethodSpec] = {
     "della_ties": _delta_method("drop_rate", "window", "density", "seed"),
     "model_stock": MethodSpec(
         (),
-        lambda p, name, flats, base, w, **_: merge_model_stock(base, flats),
+        lambda p, name, flats, base, w, out=None, **_: (
+            merge_model_stock(base, flats, out=out), None
+        ),
         needs_base=True,
         min_sources=2,
         weighted=False,
@@ -700,7 +703,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
         norm_in = [norm(f) for f in flats]
         # an overflow or invalid operation shows as a non-finite entry below
         with np.errstate(over="ignore", invalid="ignore"):
-            out = method.spec.rule(
+            merged, stats = method.spec.rule(
                 method.param,
                 name,
                 flats,
@@ -709,7 +712,6 @@ def run_merge(job: MergeJob) -> MergeSummary:
                 out=work.take("out", count),
                 norms=norm_in,
             )
-        merged, stats = out if isinstance(out, tuple) else (out, None)
         tensor_stats = TensorStats(
             name=name, norm_in=norm_in, norm_out=norm(merged), **(asdict(stats) if stats else {})
         )

@@ -374,13 +374,16 @@ def karcher_mean(
     # gamma^T G gamma carries rounding of about this much times ||gamma||_1^2;
     # within it of tol^2 the residual is decided in n-space instead
     slack = 16.0 * (m + np.sqrt(n)) * np.finfo(np.float64).eps
+    # r2 is at most about pi**2, so the cap changes no decision; it keeps the
+    # square finite, which a float power refuses past 1e154 (OverflowError)
+    tol2 = min(cfg.tol, 1e150) ** 2
     iteration = 0
     stalled = False
     while True:
         gamma = _tangent_coefficients(gram @ beta, beta, w, cfg.antipodal_eps, iteration)
         r2 = float(gamma @ gram @ gamma)
         last = stalled or iteration == cfg.max_iter
-        if last or r2 < cfg.tol**2 + slack * float(np.abs(gamma).sum()) ** 2:
+        if last or r2 < tol2 + slack * float(np.abs(gamma).sum()) ** 2:
             x, beta, gamma, residual = _at_iterate(
                 pts, inv_norms, beta, w, cfg.antipodal_eps, iteration, out
             )

@@ -15,7 +15,12 @@ the input was read before the first draw, kept to pin the streamed one;
 ``karcher_mean_to_max_iter``, the Gram-coefficient solver as it was before a
 stall ended the solve, kept to pin the stall exit's mean and residual; and
 ``karcher_mean_unblocked``, the solver as it was with whole-stack products
-and n-length chord and residual vectors, kept to pin the blocked one.
+and n-length chord and residual vectors, kept to pin the blocked one;
+``multislerp_direct``, the multislerp merge as it was with its own equal-rows
+copy, solve and norm rescale, kept to pin the one that runs on
+``merge_karcher``; and ``model_stock_direct``, the Model Stock merge as it
+was with fresh deltas and a fresh blend, kept to pin the one that merges in
+the workspace.
 """
 
 from __future__ import annotations
@@ -321,6 +326,74 @@ def karcher_mean_unblocked(
             beta = np.cos(step) * beta + (np.sin(step) / r) * gamma
             beta /= float(np.sqrt(beta @ gram @ beta))
         iteration += 1
+
+
+# -- multislerp and model_stock as they were (reference merges) ----------------
+
+
+def multislerp_direct(
+    tensors: Sequence[np.ndarray],
+    weights: Sequence[float],
+    *,
+    out: np.ndarray | None = None,
+    norms: Sequence[float] | None = None,
+) -> np.ndarray:
+    """``merge_multislerp`` as it was before it ran on ``merge_karcher``: its
+    own equal-rows copy, one-step ``karcher_mean`` and ``w @ norms`` rescale."""
+    import logging
+    import sys
+
+    from geomerge.merge_methods import _row_norms, _rows_equal, weighted_sum
+    from geomerge.sphere import combined_norm, karcher_mean
+
+    if len(tensors) < 2:
+        raise ValueError("multislerp requires at least 2 tensors")
+    w = normalized_weights(weights, len(tensors))
+    stack = stack_rows(tensors)
+    out = np.empty(stack.shape[1]) if out is None else out
+    if _rows_equal(stack):
+        np.copyto(out, stack[0])
+        return out
+    norms = _row_norms(stack, norms)
+    zero = np.flatnonzero(norms < DEGENERATE_NORM)
+    if zero.size:
+        from geomerge.errors import DegenerateError
+
+        raise DegenerateError(f"multislerp source {int(zero[0])} has (near-)zero norm")
+    if combined_norm(w / norms, stack) < DEGENERATE_NORM:
+        logging.getLogger("geomerge.merge_methods").warning(
+            "multislerp basepoint degenerate (symmetric sources); using lerp"
+        )
+        return weighted_sum(stack, w, out)
+    one_step = KarcherConfig(eta=1.0, tol=sys.float_info.min, max_iter=1)
+    return np.multiply(karcher_mean(stack, w, one_step, out).mean, float(w @ norms), out=out)
+
+
+def model_stock_direct(base: np.ndarray, experts: Sequence[np.ndarray]) -> np.ndarray:
+    """``merge_model_stock`` as it was before it merged in the workspace: a
+    fresh delta per expert, a fresh expert mean and a whole-vector blend."""
+    from geomerge.delta_ops import task_vector
+    from geomerge.merge_methods import weighted_sum
+    from geomerge.sphere import inner
+
+    m = len(experts)
+    if m < 2:
+        raise ValueError(f"model_stock requires at least 2 experts, got {m}")
+    b = np.asarray(base, dtype=np.float64).reshape(-1)
+    deltas = [task_vector(e, b) for e in experts]
+    norms = [norm(d) for d in deltas]
+    cosines = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            if norms[i] < DEGENERATE_NORM or norms[j] < DEGENERATE_NORM:
+                cosines.append(1.0)
+            else:
+                cosines.append(inner(deltas[i], deltas[j]) / (norms[i] * norms[j]))
+    c = float(np.mean(cosines))
+    c = min(max(c, -1.0 / (m - 1) + 1e-6), 1.0)
+    t = m * c / (1.0 + (m - 1) * c)
+    expert_mean = weighted_sum(experts, normalized_weights(np.ones(m), m))
+    return t * expert_mean + (1.0 - t) * b
 
 
 # -- d x d covariance eigensolve (reference spectrum) --------------------------

@@ -267,6 +267,45 @@ def test_task_arithmetic_second_tensor_allocates_under_one_vector(tmp_path, monk
     assert peak - before_y < 8 * N, (peak - before_y) / (8 * N)
 
 
+def test_model_stock_second_tensor_allocates_under_one_vector(tmp_path, monkeypatch):
+    """Model Stock takes the expert mean into the workspace's out vector and
+    makes its deltas in the stack rows; the blend with the base runs over
+    column blocks, so no fresh n-length vector is made per tensor."""
+    rng = np.random.default_rng(37)
+    base = rng.standard_normal(N)
+    for tag in ("base", "a", "b", "c"):
+        values = base if tag == "base" else base + rng.standard_normal(N)
+        _container(tmp_path / f"{tag}.st", {"x": ("f32", values), "y": ("f32", values[::-1])})
+    marks: list[int] = []
+    put = CheckpointWriter.put
+
+    def mark(self, name, array):
+        put(self, name, array)
+        if name == "x":  # the one worker turns to y next
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(CheckpointWriter, "put", mark)
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open_checkpoint(tmp_path / f"{t}.st")) for t in "abc"]
+        job = MergeJob(
+            sources=handles,
+            base=stack.enter_context(open_checkpoint(tmp_path / "base.st")),
+            method=MergeMethod("model_stock"),
+            out_path=tmp_path / "out.st",
+            threads=1,
+        )
+        tracemalloc.start()
+        try:
+            run_merge(job)
+            before_y, peak = marks[0], tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # about half a vector is left: the weighted sum's product block, or the
+    # blend's block of the base; a fresh delta or mean would pass one
+    assert peak - before_y < 8 * N, (peak - before_y) / (8 * N)
+
+
 # -- della_drop refuses draws that alias what it reads -----------------------------
 
 
