@@ -62,7 +62,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigError as exc:
+    # a MemoryError is a count no address space holds, such as --draws 10**17
+    except (ConfigError, MemoryError) as exc:
         _print_error(exc)
         return EXIT_CONFIG
     except (FileNotFoundError, ContainerError, OSError) as exc:

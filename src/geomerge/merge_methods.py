@@ -52,7 +52,6 @@ from .sphere import (
     inner,
     karcher_mean,
     norm,
-    normalize_to_sphere,
     normalized_weights,
     slerp as unit_slerp,
 )
@@ -190,10 +189,6 @@ class MergeMethod:
             )
 
 
-def _as_f64(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v, dtype=np.float64).reshape(-1)
-
-
 def weighted_sum(
     vectors: Iterable[np.ndarray], weights: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -259,19 +254,36 @@ def merge_lerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) -> np.nd
     return weighted_sum(tensors, w)
 
 
-def merge_slerp(a: np.ndarray, b: np.ndarray, t: float = 0.5) -> np.ndarray:
-    """Geodesic interpolation of directions, norm interpolated linearly."""
-    a64, b64 = _as_f64(a), _as_f64(b)
-    if t == 0.0 or np.array_equal(a64, b64):
-        return a64.copy()
-    if t == 1.0:
-        return b64.copy()
-    na = normalize_to_sphere(a64)
-    nb = normalize_to_sphere(b64)
-    if na is None or nb is None:
+def merge_slerp(
+    a: np.ndarray,
+    b: np.ndarray,
+    t: float = 0.5,
+    *,
+    out: np.ndarray | None = None,
+    norms: Sequence[float] | None = None,
+) -> np.ndarray:
+    """Geodesic interpolation of directions, norm interpolated linearly
+    (into ``out``, if given, with ``a`` and ``b`` float64 rows normalized in
+    place; else neither is modified).  ``norms``, if given, are their norms
+    as :func:`norm` gives them.  Refused in this order: NaN/Inf entries, a
+    (near-)zero norm, an antipodal pair.
+    """
+    rows = stack_rows([a, b]) if out is None else (a, b)
+    out = np.empty(rows[0].size) if out is None else out
+    end = rows[0] if t == 0.0 or np.array_equal(*rows) else rows[1] if t == 1.0 else None
+    if end is not None:
+        np.copyto(out, end)
+        return out
+    lengths = [norm(row) for row in rows] if norms is None else list(norms)
+    # a norm is finite when every entry is, unless it exceeds float64's range
+    if not all(map(math.isfinite, lengths)) and not all(np.isfinite(r).all() for r in rows):
+        raise NonFiniteError("cannot normalize a vector with NaN/Inf entries")
+    if min(lengths) < DEGENERATE_NORM:
         raise DegenerateError("slerp sources must have nonzero norm")
-    direction = unit_slerp(na[0], nb[0], t)
-    return direction * ((1.0 - t) * na[1] + t * nb[1])
+    for row, length in zip(rows, lengths):
+        row /= length
+    unit_slerp(*rows, t, out=out)
+    return np.multiply(out, (1.0 - t) * lengths[0] + t * lengths[1], out=out)
 
 
 def merge_multislerp(
@@ -486,8 +498,8 @@ def merge_model_stock(
 #: base flat or None, normalized weights, out=None, norms=None) -> (merged
 #: flat, SolverStats or None); only the barycenter solver gives stats.
 #: Given ``out`` (as ``run_merge`` does), the flats are an m x n float64
-#: stack that the rule may overwrite, and a rule that can writes its result
-#: into ``out``.  ``norms``, if given, are the flats' norms from
+#: stack that the rule may overwrite, and every rule but lerp writes its
+#: result into ``out``.  ``norms``, if given, are the flats' norms from
 #: :func:`norm`, which the spherical rules then do not take again; the
 #: others ignore them.
 Rule = Callable[..., tuple[np.ndarray, SolverStats | None]]
@@ -546,7 +558,9 @@ METHODS: dict[str, MethodSpec] = {
     "lerp": MethodSpec((), lambda p, name, flats, base, w, **_: (merge_lerp(flats, w), None)),
     "slerp": MethodSpec(
         ("t",),
-        lambda p, name, flats, base, w, **_: (merge_slerp(flats[0], flats[1], p("t")), None),
+        lambda p, name, flats, base, w, **kw: (
+            merge_slerp(flats[0], flats[1], p("t"), **kw), None
+        ),
         min_sources=2,
         max_sources=2,
         weighted=False,

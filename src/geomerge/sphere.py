@@ -1,11 +1,11 @@
-"""Closed-form geometry on the unit hypersphere and the weighted
-geodesic-barycenter (Karcher mean) fixed-point solver.
+"""Geodesic interpolation between two unit vectors and the weighted
+geodesic-barycenter (Karcher mean) fixed-point solver on the unit
+hypersphere.
 
 Vectors are plain 1-D numpy arrays.  Every operation converts to float64
 internally, so reductions carry full double-precision partials regardless of
 the caller's working precision.  Points passed to the solver are
-re-normalized on entry; outputs of the exp map are re-normalized before
-return.
+re-normalized on entry.
 
 The barycenter solver follows the fixed-point scheme of Buss & Fillmore
 ("Spherical averages and applications to spherical splines and
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AntipodalError, NonFiniteError
+from .errors import AntipodalError
 
 #: Norms below this are treated as directionless (zero) vectors.
 DEGENERATE_NORM = 1e-12
@@ -46,9 +46,6 @@ _ZERO_ANGLE = 1e-12
 #: Points whose cosine is within this of -1 count as antipodal, where the
 #: geodesic between them is not unique.
 ANTIPODAL_EPS = 1e-8
-
-#: ``sphere_exp`` rejects a velocity whose dot with ``p`` exceeds this times its norm.
-_TANGENCY_TOL = 1e-6
 
 
 @dataclass
@@ -89,68 +86,11 @@ class KarcherResult:
     stalled: bool = False
 
 
-def normalize_to_sphere(v: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Split a vector into (unit direction, norm).
-
-    Returns ``None`` for degenerate (near-zero-norm) input, where no
-    direction exists.  Non-finite entries raise :class:`NonFiniteError`.
-    """
-    arr = np.asarray(v, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("cannot normalize a vector with NaN/Inf entries")
-    length = norm(arr)
-    if length < DEGENERATE_NORM:
-        return None
-    return arr / length, length
-
-
-def geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Great-circle distance between unit vectors, in [0, pi]."""
-    c = inner(np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64))
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
-def sphere_log(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Tangent vector at ``p`` pointing along the geodesic to ``q``.
-
-    The result is orthogonal to ``p`` with norm equal to the geodesic
-    distance.  Raises :class:`AntipodalError` when the points are antipodal
-    up to :data:`ANTIPODAL_EPS` (the direction is then undefined).
-    """
-    p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
-    c = float(np.clip(inner(p64, q64), -1.0, 1.0))
-    if c <= -1.0 + ANTIPODAL_EPS:
-        raise AntipodalError("log map undefined for (near-)antipodal points")
-    theta = float(np.arccos(c))
-    if theta < _ZERO_ANGLE:
-        return np.zeros_like(p64)
-    residual = q64 - c * p64
-    rnorm = norm(residual)
-    if rnorm < DEGENERATE_NORM:
-        return np.zeros_like(p64)
-    return residual * (theta / rnorm)
-
-
-def sphere_exp(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Follow the geodesic from ``p`` with initial velocity ``v``.
-
-    ``v`` must be tangent at ``p``; the output is re-normalized to the
-    sphere.
-    """
-    p64, v64 = np.asarray(p, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    n = norm(v64)
-    if n < _ZERO_ANGLE:
-        return p64.copy()
-    if abs(inner(p64, v64)) > _TANGENCY_TOL * n:
-        raise ValueError("exp map requires a tangent vector (<p, v> != 0)")
-    out = np.cos(n) * p64 + np.sin(n) * (v64 / n)
-    return out / norm(out)
-
-
-def slerp(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
-    """Constant-speed geodesic interpolation between unit vectors.
-
-    Falls back to normalized linear interpolation when the angle vanishes.
+def slerp(p: np.ndarray, q: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Constant-speed geodesic interpolation between unit vectors (into
+    ``out``, if given), normalized linear interpolation when the angle
+    vanishes.  The q-term is added one :data:`COLUMN_BLOCK` at a time
+    through a block-sized scratch vector, so no argument is modified.
     """
     p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     c = float(np.clip(inner(p64, q64), -1.0, 1.0))
@@ -158,10 +98,18 @@ def slerp(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
         raise AntipodalError("slerp undefined for (near-)antipodal points")
     theta = float(np.arccos(c))
     if theta < _ZERO_ANGLE:
-        mix = (1.0 - t) * p64 + t * q64
-        return mix / norm(mix)
-    s = np.sin(theta)
-    return (np.sin((1.0 - t) * theta) / s) * p64 + (np.sin(t * theta) / s) * q64
+        cp, cq = 1.0 - t, t
+    else:
+        s = np.sin(theta)
+        cp, cq = np.sin((1.0 - t) * theta) / s, np.sin(t * theta) / s
+    out = np.multiply(p64, cp, out=out)
+    scratch = np.empty(min(out.size, COLUMN_BLOCK))
+    for cols in column_blocks(out.size):
+        block = q64[cols]
+        out[cols] += np.multiply(block, cq, out=scratch[: block.size])
+    if theta < _ZERO_ANGLE:
+        out /= norm(out)
+    return out
 
 
 def normalized_weights(weights: "np.ndarray | Sequence[float]", count: int) -> np.ndarray:
@@ -259,18 +207,6 @@ def combined_norm(coef: np.ndarray, rows: np.ndarray) -> float:
         part = combine_rows(coef, block, scratch[: block.shape[1]])
         squares += inner(part, part)
     return math.sqrt(squares)
-
-
-def frechet_objective(
-    x: np.ndarray, points: "np.ndarray | list[np.ndarray]", weights: np.ndarray
-) -> float:
-    """Weighted sum of squared geodesic distances from ``x`` to ``points``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[0] == 0:
-        raise ValueError("frechet_objective requires at least one point")
-    w = normalized_weights(weights, pts.shape[0])
-    dots = np.clip(row_dots(pts, np.asarray(x, dtype=np.float64)), -1.0, 1.0)
-    return float(w @ (np.arccos(dots) ** 2))
 
 
 def _tangent_coefficients(

@@ -355,10 +355,6 @@ class CheckpointHandle:
             )
         return TensorRecord(name=name, data=arr, dtype=entry.code)
 
-    def load_all(self, precision: str = "f32", strict: bool = True) -> Checkpoint:
-        records = [self.load_tensor(n, precision, strict) for n in self.names()]
-        return Checkpoint.from_records(records, self.metadata)
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -394,7 +390,8 @@ def read_checkpoint(
 ) -> Checkpoint:
     """Eagerly load a whole container into memory."""
     with open_checkpoint(path) as handle:
-        return handle.load_all(precision, strict)
+        records = [handle.load_tensor(n, precision, strict) for n in handle.names()]
+        return Checkpoint.from_records(records, handle.metadata)
 
 
 def check_output_path(path: str | os.PathLike, renamed: bool = True) -> None:

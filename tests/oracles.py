@@ -18,9 +18,14 @@ stall ended the solve, kept to pin the stall exit's mean and residual; and
 and n-length chord and residual vectors, kept to pin the blocked one;
 ``multislerp_direct``, the multislerp merge as it was with its own equal-rows
 copy, solve and norm rescale, kept to pin the one that runs on
-``merge_karcher``; and ``model_stock_direct``, the Model Stock merge as it
+``merge_karcher``; ``model_stock_direct``, the Model Stock merge as it
 was with fresh deltas and a fresh blend, kept to pin the one that merges in
-the workspace.
+the workspace; and ``slerp_direct`` and ``unit_slerp_direct``, the slerp
+merge and the two-point ``sphere.slerp`` as they were with whole-vector
+products, kept to pin the ones that write into ``out``.  The two-point maps
+``normalize_to_sphere``, ``geodesic_distance``, ``sphere_log``,
+``sphere_exp`` and ``frechet_objective`` were the package's own until no
+command reached them; they serve as reference geometry here.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ import numpy as np
 
 from geomerge.delta_ops import _BLOCK, SparsifySpec, _weighted_totals, stack_rows
 from geomerge.diagnostics import spectral_stats
+from geomerge.errors import AntipodalError, DegenerateError, NonFiniteError
 from geomerge.rng import keyed_stream
 from geomerge.sphere import (
     _ZERO_ANGLE,
+    ANTIPODAL_EPS,
     DEGENERATE_NORM,
     KarcherConfig,
     KarcherResult,
@@ -44,6 +51,7 @@ from geomerge.sphere import (
     _tangent_coefficients,
     combine_rows,
     gram_matrix,
+    inner,
     norm,
     normalized_weights,
     row_dots,
@@ -139,6 +147,113 @@ def grid_frechet_minimizer(
     objective = (np.arccos(dots) ** 2) @ w
     best = int(np.argmin(objective))
     return grid[best], float(objective[best])
+
+
+# -- two-point sphere maps (reference geometry) --------------------------------
+
+#: ``sphere_exp`` rejects a velocity whose dot with ``p`` exceeds this times its norm.
+_TANGENCY_TOL = 1e-6
+
+
+def normalize_to_sphere(v: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Split a vector into (unit direction, norm).
+
+    Returns ``None`` for degenerate (near-zero-norm) input, where no
+    direction exists.  Non-finite entries raise :class:`NonFiniteError`.
+    """
+    arr = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("cannot normalize a vector with NaN/Inf entries")
+    length = norm(arr)
+    if length < DEGENERATE_NORM:
+        return None
+    return arr / length, length
+
+
+def geodesic_distance(p: np.ndarray, q: np.ndarray) -> float:
+    """Great-circle distance between unit vectors, in [0, pi]."""
+    c = inner(np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64))
+    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def sphere_log(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Tangent vector at ``p`` pointing along the geodesic to ``q``.
+
+    The result is orthogonal to ``p`` with norm equal to the geodesic
+    distance.  Raises :class:`AntipodalError` when the points are antipodal
+    up to ``ANTIPODAL_EPS`` (the direction is then undefined).
+    """
+    p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    c = float(np.clip(inner(p64, q64), -1.0, 1.0))
+    if c <= -1.0 + ANTIPODAL_EPS:
+        raise AntipodalError("log map undefined for (near-)antipodal points")
+    theta = float(np.arccos(c))
+    if theta < _ZERO_ANGLE:
+        return np.zeros_like(p64)
+    residual = q64 - c * p64
+    rnorm = norm(residual)
+    if rnorm < DEGENERATE_NORM:
+        return np.zeros_like(p64)
+    return residual * (theta / rnorm)
+
+
+def sphere_exp(p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Follow the geodesic from ``p`` with initial velocity ``v``.
+
+    ``v`` must be tangent at ``p``; the output is re-normalized to the
+    sphere.
+    """
+    p64, v64 = np.asarray(p, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    n = norm(v64)
+    if n < _ZERO_ANGLE:
+        return p64.copy()
+    if abs(inner(p64, v64)) > _TANGENCY_TOL * n:
+        raise ValueError("exp map requires a tangent vector (<p, v> != 0)")
+    out = np.cos(n) * p64 + np.sin(n) * (v64 / n)
+    return out / norm(out)
+
+
+def frechet_objective(
+    x: np.ndarray, points: "np.ndarray | list[np.ndarray]", weights: np.ndarray
+) -> float:
+    """Weighted sum of squared geodesic distances from ``x`` to ``points``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.shape[0] == 0:
+        raise ValueError("frechet_objective requires at least one point")
+    w = normalized_weights(weights, pts.shape[0])
+    dots = np.clip(row_dots(pts, np.asarray(x, dtype=np.float64)), -1.0, 1.0)
+    return float(w @ (np.arccos(dots) ** 2))
+
+
+def unit_slerp_direct(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
+    """``sphere.slerp`` as it was, with whole-vector products and no ``out``."""
+    p64, q64 = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    c = float(np.clip(inner(p64, q64), -1.0, 1.0))
+    if c <= -1.0 + ANTIPODAL_EPS:
+        raise AntipodalError("slerp undefined for (near-)antipodal points")
+    theta = float(np.arccos(c))
+    if theta < _ZERO_ANGLE:
+        mix = (1.0 - t) * p64 + t * q64
+        return mix / norm(mix)
+    s = np.sin(theta)
+    return (np.sin((1.0 - t) * theta) / s) * p64 + (np.sin(t * theta) / s) * q64
+
+
+def slerp_direct(a: np.ndarray, b: np.ndarray, t: float = 0.5) -> np.ndarray:
+    """``merge_slerp`` as it was: fresh float64 copies, each normalized by
+    ``normalize_to_sphere``, interpolated by :func:`unit_slerp_direct`."""
+    a64 = np.asarray(a, dtype=np.float64).reshape(-1)
+    b64 = np.asarray(b, dtype=np.float64).reshape(-1)
+    if t == 0.0 or np.array_equal(a64, b64):
+        return a64.copy()
+    if t == 1.0:
+        return b64.copy()
+    na = normalize_to_sphere(a64)
+    nb = normalize_to_sphere(b64)
+    if na is None or nb is None:
+        raise DegenerateError("slerp sources must have nonzero norm")
+    direction = unit_slerp_direct(na[0], nb[0], t)
+    return direction * ((1.0 - t) * na[1] + t * nb[1])
 
 
 # -- random data helpers -------------------------------------------------------

@@ -36,7 +36,7 @@ from geomerge.merge_methods import (
     merge_ties,
     run_merge,
 )
-from geomerge.sphere import geodesic_distance, frechet_objective, karcher_mean
+from geomerge.sphere import karcher_mean
 from geomerge.tensor_io import (
     Checkpoint,
     TensorRecord,
@@ -44,7 +44,14 @@ from geomerge.tensor_io import (
     read_checkpoint,
     write_checkpoint,
 )
-from oracles import grid_frechet_minimizer, hemisphere_points, sphere_grid, trim_reference
+from oracles import (
+    frechet_objective,
+    geodesic_distance,
+    grid_frechet_minimizer,
+    hemisphere_points,
+    sphere_grid,
+    trim_reference,
+)
 
 
 def _passed(number: int, label: str) -> None:

@@ -1,0 +1,31 @@
+"""The names the package exports.
+
+``geomerge.__all__`` is sorted with no duplicates, and every name in it
+resolves.  The two-point sphere maps that no command reached are no longer
+part of the package; their reference copies live in ``tests/oracles.py``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import geomerge
+from geomerge import sphere
+
+MOVED = ("normalize_to_sphere", "geodesic_distance", "sphere_log", "sphere_exp", "frechet_objective")
+
+
+def test_all_is_sorted_without_duplicates():
+    assert geomerge.__all__ == sorted(set(geomerge.__all__))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in geomerge.__all__ if not hasattr(geomerge, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_moved_sphere_maps_are_not_exported(name):
+    assert name not in geomerge.__all__
+    assert not hasattr(geomerge, name)
+    assert not hasattr(sphere, name)

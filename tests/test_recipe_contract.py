@@ -23,7 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomerge.cli import main
+from geomerge.errors import ConfigError
 from geomerge.merge_methods import METHODS
+from geomerge.recipe import parse_recipe
 from geomerge.tensor_io import TensorRecord, write_checkpoint
 
 SHAPES = ((0,), (), (1,), (2, 5), (70000,))
@@ -146,6 +148,25 @@ def test_every_recipe_merges_or_fails_with_one_error_line(case):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], [
         str(w.message) for w in caught
     ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cases())
+def test_exit_1_is_a_rejected_recipe_and_no_temporary_is_left(case):
+    """``main`` exits 1 exactly when ``parse_recipe`` rejects the recipe
+    text, and whatever the exit, no ``*.tmp`` sibling of the output stays
+    in its directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        recipe = _write(root, case)
+        try:
+            parse_recipe(recipe.read_text(), source=str(recipe))
+            rejected = False
+        except ConfigError:
+            rejected = True
+        code, err = _merge(recipe, 1)
+        assert (code == 1) == rejected, (code, err)
+        assert not list(root.glob("*.tmp")), sorted(p.name for p in root.iterdir())
 
 
 def test_karcher_whose_weighted_sources_are_all_zero_takes_the_weighted_mean():

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from geomerge.errors import AntipodalError, NonFiniteError
-from geomerge.sphere import (
-    KarcherConfig,
+from geomerge.sphere import KarcherConfig, karcher_mean, slerp
+from oracles import (
     frechet_objective,
     geodesic_distance,
-    karcher_mean,
+    grid_frechet_minimizer,
+    hemisphere_points,
+    karcher_direct,
     normalize_to_sphere,
-    slerp,
     sphere_exp,
+    sphere_grid,
     sphere_log,
 )
-from oracles import grid_frechet_minimizer, hemisphere_points, karcher_direct, sphere_grid
 
 E1, E2, E3 = np.eye(3)
 

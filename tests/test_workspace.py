@@ -306,6 +306,45 @@ def test_model_stock_second_tensor_allocates_under_one_vector(tmp_path, monkeypa
     assert peak - before_y < 8 * N, (peak - before_y) / (8 * N)
 
 
+def test_slerp_second_tensor_allocates_under_one_vector(tmp_path, monkeypatch):
+    """slerp normalizes the workspace's two source rows in place by the
+    norms ``merge_one`` took, and writes the geodesic point into the out
+    vector through one block of scratch, so no fresh n-length vector is
+    made per tensor."""
+    rng = np.random.default_rng(41)
+    base = rng.standard_normal(N)
+    for tag in ("a", "b"):
+        values = base + rng.standard_normal(N)
+        _container(tmp_path / f"{tag}.st", {"x": ("f32", values), "y": ("f32", values[::-1])})
+    marks: list[int] = []
+    put = CheckpointWriter.put
+
+    def mark(self, name, array):
+        put(self, name, array)
+        if name == "x":  # the one worker turns to y next
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+
+    monkeypatch.setattr(CheckpointWriter, "put", mark)
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open_checkpoint(tmp_path / f"{t}.st")) for t in "ab"]
+        job = MergeJob(
+            sources=handles,
+            method=MergeMethod("slerp", {"t": 0.3}),
+            out_path=tmp_path / "out.st",
+            threads=1,
+        )
+        tracemalloc.start()
+        try:
+            run_merge(job)
+            before_y, peak = marks[0], tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # about half a vector is left: the q-term's block of scratch; fresh
+    # unit vectors or a fresh result would pass one
+    assert peak - before_y < 8 * N, (peak - before_y) / (8 * N)
+
+
 # -- della_drop refuses draws that alias what it reads -----------------------------
 
 
