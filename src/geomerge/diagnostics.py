@@ -87,6 +87,13 @@ def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
     O(n^2 d + n^3) rather than O(n d^2 + d^3).  The result is always
     zero-padded to length d, so the rank measures (and the d * eps threshold
     of :func:`numerical_rank`) see the same spectrum either way.
+
+    A wide matrix with repeated rows (a bootstrap resample holds about
+    0.63 n distinct rows) is collapsed first: with C_u its k distinct
+    centered rows and c their counts, C C^T has the nonzero eigenvalues of
+    the k x k matrix sqrt(c) (C_u C_u^T) sqrt(c), so it costs
+    O(n d + k^2 d + k^3).  The mean is still taken over all n rows, and a
+    matrix with no repeated row keeps its bits.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -97,11 +104,17 @@ def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
     # beyond float64's range the Gram or its eigenvalues turn non-finite,
     # refused below; below it every product of the Gram underflows
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = x - x.mean(axis=0, keepdims=True)
+        mean = x.mean(axis=0, keepdims=True)
+        groups = _distinct_rows(x) if n < d else None
+        # a repeated row has the entries of its first copy, so the range
+        # check sees the same largest magnitude
+        centered = (x if groups is None else x[groups[0]]) - mean
         if 0.0 < float(np.abs(centered).max()) < _ROOT_TINY:
             raise DTypeOverflowError("covariance below float64's normal range")
         if n < d:
             gram = centered @ centered.T / (n - 1)
+            if groups is not None:
+                gram *= np.sqrt(np.multiply.outer(groups[1], groups[1]))
         else:
             gram = centered.T @ centered / (n - 1)
     if not np.isfinite(gram).all():
@@ -112,6 +125,41 @@ def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
     spectrum = np.zeros(d)
     spectrum[: eig.size] = eig
     return spectrum
+
+
+def _key_vector(d: int) -> np.ndarray:
+    """The fixed vector of d entries that :func:`_row_keys` projects on."""
+    return keyed_stream(0, "row-key", d).standard_normal(d)
+
+
+def _row_keys(x: np.ndarray) -> np.ndarray:
+    """Each row's product with :func:`_key_vector`, summed in one order for
+    every row, so equal rows get equal keys; a BLAS matrix-vector product
+    can round equal rows apart."""
+    return np.einsum("ij,j->i", x, _key_vector(x.shape[1]))
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The index of one row of each set of equal rows of ``x`` and the size
+    of each set, or None where no row repeats.
+
+    Rows are sorted by :func:`_row_keys`, and neighbours whose keys tie are
+    compared entry by entry, so rows that differ are never taken as one.
+    Equal rows that a tied row of other entries sorts apart stay apart,
+    which costs time, not accuracy.
+    """
+    n = x.shape[0]
+    keys = _row_keys(x)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    tied = np.flatnonzero(keys[1:] == keys[:-1])
+    repeats = tied[(x[order[tied]] == x[order[tied + 1]]).all(axis=1)]
+    if repeats.size == 0:
+        return None
+    first = np.ones(n, dtype=bool)
+    first[repeats + 1] = False
+    starts = np.flatnonzero(first)
+    return order[starts], np.diff(starts, append=n)
 
 
 def mean_activation_variance(samples: np.ndarray) -> float:

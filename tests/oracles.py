@@ -9,7 +9,9 @@ four ``delta_ops`` kernels as they were with boolean-mask scatters, kept to
 pin the branch-free ones byte for byte; ``decode_buffer_direct``, the
 allocating payload decode, kept to pin the one that decodes in place; and
 ``bootstrap_stats_per_metric``, the bootstrap summary as it was with one
-array per named metric, kept to pin the one-table form; and
+array per named metric, kept to pin the one-table form;
+``covariance_spectrum_gram``, the n < d spectrum as it was with the Gram of
+every row, kept to pin the bits of input with no repeated row; and
 ``diagnose_eager``, the ``diagnose`` report as it was when every tensor of
 the input was read before the first draw, kept to pin the streamed one;
 ``karcher_mean_to_max_iter``, the Gram-coefficient solver as it was before a
@@ -526,6 +528,21 @@ def covariance_spectrum_direct(samples: np.ndarray) -> np.ndarray:
     cov = centered.T @ centered / (x.shape[0] - 1)
     eig = np.linalg.eigvalsh(cov)
     return np.clip(eig, 0.0, None)[::-1]
+
+
+def covariance_spectrum_gram(samples: np.ndarray) -> np.ndarray:
+    """The package's ``covariance_spectrum`` route for n < d as it was before
+    repeated rows were collapsed: the n x n Gram C C^T / (n-1) of every
+    centered row, eigensolved and zero-padded to length d."""
+    x = np.asarray(samples, dtype=np.float64)
+    n, d = x.shape
+    assert n < d, "the Gram route is the n < d one"
+    centered = x - x.mean(axis=0, keepdims=True)
+    gram = centered @ centered.T / (n - 1)
+    eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1]
+    spectrum = np.zeros(d)
+    spectrum[: eig.size] = eig
+    return spectrum
 
 
 def bootstrap_stats_per_metric(

@@ -6,25 +6,31 @@ and 1e300, and checkpoints of every dtype holding empty, scalar, tiny and
 limits, are merged in-process.  Whatever the recipe, ``main`` returns an
 exit code in 0-3 with no traceback and no RuntimeWarning, and prints at most
 one ``error:`` line.  A merge that succeeds gives the same checkpoint and
-summary bytes (``wall_ms`` aside) at ``--threads`` 1 and 3.
+summary bytes (``wall_ms`` aside) at ``--threads`` 1 and 3.  A recipe with
+an unknown key at any level, text or int, bool or null, exits 1 with one
+``error:`` line before any payload is read.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geomerge import tensor_io
 from geomerge.cli import main
 from geomerge.errors import ConfigError
-from geomerge.merge_methods import METHODS
+from geomerge.merge_methods import METHODS, PARAMS
 from geomerge.recipe import parse_recipe
 from geomerge.tensor_io import TensorRecord, write_checkpoint
 
@@ -182,3 +188,70 @@ def test_karcher_whose_weighted_sources_are_all_zero_takes_the_weighted_mean():
         data, summary = _output(root)
     assert summary["per_tensor"][0]["norm_out"] == 0.0
     assert summary["per_tensor"][0]["iterations"] == 0
+
+
+#: the keys each level of a recipe knows
+KNOWN_KEYS = {
+    "top": {"method", "models", "base_model", "parameters", "output"},
+    "model": {"path", "weight"},
+    "parameters": {*PARAMS, "precision", "strict"},
+    "output": {"path", "dtype"},
+}
+TEXT_KEYS = ("typo", "Method", "weights", "path", "dtype", "method", "t", "precision", "", "1")
+
+
+@st.composite
+def unknown_key_recipes(draw):
+    """A recipe the validator accepts, as a mapping, and the same recipe with
+    unknown keys of mixed types put in at one or more of its levels."""
+    kind = draw(st.sampled_from(list(METHODS)))
+    spec = METHODS[kind]
+    count = max(spec.min_sources, 2) if spec.max_sources is None else spec.min_sources
+    models = [{"path": f"m{i}.st", "weight": 1.0} for i in range(count)]
+    recipe = {"method": kind, "models": models, "parameters": {}, "output": {"path": "out.st"}}
+    if spec.needs_base:
+        recipe["base_model"] = f"m{count}.st"
+    levels = st.lists(st.sampled_from(sorted(KNOWN_KEYS)), min_size=1, max_size=4, unique=True)
+    mutated = copy.deepcopy(recipe)
+    for level in draw(levels):
+        text = st.sampled_from([k for k in TEXT_KEYS if k not in KNOWN_KEYS[level]])
+        key = text | st.integers(-2, 2) | st.booleans() | st.none()
+        if level == "model":
+            node = mutated["models"][draw(st.integers(0, count - 1))]
+        else:
+            node = mutated if level == "top" else mutated[level]
+        for k in draw(st.lists(key, min_size=1, max_size=3)):
+            node[k] = draw(st.sampled_from((1, 0.5, "x", None, True)))
+    return recipe, mutated
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(unknown_key_recipes())
+def test_an_unknown_key_at_any_level_is_refused_before_any_read(case):
+    recipe, mutated = case
+    reads = []
+    real_pread = tensor_io._pread
+
+    def spy(*args):
+        reads.append(args[1:3])
+        return real_pread(*args)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for i in range(len(recipe["models"]) + 1):
+            write_checkpoint(root / f"m{i}.st", [TensorRecord("w", np.arange(3.0))], "f32")
+        for node in (recipe, mutated):
+            for entry in (*node["models"], node["output"]):
+                entry["path"] = str(root / entry["path"])
+            if "base_model" in node:
+                node["base_model"] = str(root / node["base_model"])
+        parse_recipe(yaml.safe_dump(recipe))  # accepted with its known keys alone
+        path = root / "recipe.yaml"
+        path.write_text(yaml.safe_dump(mutated, sort_keys=False))
+        with mock.patch.object(tensor_io, "_pread", spy):
+            code, err = _merge(path, 1)
+        assert not (root / "out.st").exists()
+    assert code == 1, err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    assert "unknown key" in err and "Traceback" not in err, err
+    assert reads == []
