@@ -118,6 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--draws", type=int, default=20, help="bootstrap draws")
     p_diag.add_argument("--seed", type=int, default=0, help="bootstrap seed")
     p_diag.add_argument(
+        "--threads", type=int, default=None, help="threads a layer's bootstrap draws run on"
+    )
+    p_diag.add_argument(
         "--toy-forward",
         type=Path,
         default=None,
@@ -175,6 +178,8 @@ def cmd_merge(args: argparse.Namespace) -> int:
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.draws < 1:
         raise ConfigError("--draws must be >= 1")
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     for path in (args.out, args.csv):
         if path is not None:
             check_output_path(path, renamed=False)
@@ -184,7 +189,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             layers = _activation_layers(handle)
         else:
             layers = _toy_forward_layers(handle, args.toy_forward, *spec)
-        report = diagnostics_report(layers, draws=args.draws, seed=args.seed)
+        report = diagnostics_report(
+            layers, draws=args.draws, seed=args.seed, threads=args.threads
+        )
     args.out.write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

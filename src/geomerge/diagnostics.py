@@ -13,7 +13,9 @@ import ctypes
 import logging
 import math
 import os
+import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import astuple, dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -21,6 +23,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .dtypes import usable_cpus
 from .errors import AlignmentError, DTypeOverflowError, NonFiniteError
 from .rng import keyed_stream
 from .sphere import DEGENERATE_NORM, norm, normalized_weights
@@ -77,7 +80,35 @@ METRIC_NAMES = tuple(f.name for f in fields(SpectralStats))
 _ROOT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
-def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
+@dataclass
+class _Resample:
+    """One bootstrap draw's rows, as :func:`covariance_spectrum` takes them.
+
+    ``rows`` is the n x d resample, in the drawing thread's own buffer;
+    ``np.asarray`` gives it, so any function of an array takes a draw.
+    ``mean`` is its column mean, ``groups`` its sets of equal rows as
+    :func:`_distinct_rows` gives them (None for n >= d), and ``work`` a
+    second n x d buffer of the thread's.  The spectrum spends both buffers.
+    """
+
+    rows: np.ndarray
+    mean: np.ndarray
+    groups: tuple[np.ndarray, np.ndarray] | None
+    work: np.ndarray
+
+    def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
+
+def _head(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The first entries of a C-contiguous ``buffer`` as an array of ``shape``
+    (None without a buffer)."""
+    if buffer is None:
+        return None
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def covariance_spectrum(samples: np.ndarray | _Resample) -> np.ndarray:
     """Descending eigenvalues of the feature covariance of row-centered data.
 
     Uses the unbiased (n-1) normalization; tiny negative eigenvalues from the
@@ -94,32 +125,57 @@ def covariance_spectrum(samples: np.ndarray) -> np.ndarray:
     the k x k matrix sqrt(c) (C_u C_u^T) sqrt(c), so it costs
     O(n d + k^2 d + k^3).  The mean is still taken over all n rows, and a
     matrix with no repeated row keeps its bits.
+
+    A bootstrap draw comes as a :class:`_Resample`, whose mean and equal
+    rows its caller already has.  The spectrum takes them from it, centres
+    the rows in the draw's work buffer, then takes the Gram into the spent
+    resample's memory and gives the work buffer to the eigensolve, so it
+    allocates nothing of the size of the rows or the Gram; the bits are
+    those of the resample's array.
     """
+    draw = samples if isinstance(samples, _Resample) else None
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("covariance_spectrum expects an n x d matrix with n >= 2")
-    if not np.isfinite(x).all():
+    # a draw's rows are those of a layer, which ActivationMatrix checked
+    if draw is None and not np.isfinite(x).all():
         raise NonFiniteError("covariance_spectrum input contains NaN/Inf")
     n, d = x.shape
     # beyond float64's range the Gram or its eigenvalues turn non-finite,
     # refused below; below it every product of the Gram underflows
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=0, keepdims=True)
-        groups = _distinct_rows(x) if n < d else None
+        if draw is None:
+            mean = x.mean(axis=0, keepdims=True)
+            groups = _distinct_rows(x) if n < d else None
+            rows = work = None
+        else:
+            mean, groups, rows, work = draw.mean, draw.groups, draw.rows, draw.work
         # a repeated row has the entries of its first copy, so the range
         # check sees the same largest magnitude
-        centered = (x if groups is None else x[groups[0]]) - mean
-        if 0.0 < float(np.abs(centered).max()) < _ROOT_TINY:
+        if groups is None:
+            centered = np.subtract(x, mean, out=_head(work, (n, d)))
+        else:
+            k = groups[0].size
+            centered = np.take(x, groups[0], axis=0, out=_head(work, (k, d)), mode="clip")
+            centered -= mean
+        if 0.0 < max(centered.max(), -centered.min()) < _ROOT_TINY:
             raise DTypeOverflowError("covariance below float64's normal range")
         if n < d:
-            gram = centered @ centered.T / (n - 1)
+            k = len(centered)
+            gram = np.matmul(centered, centered.T, out=_head(rows, (k, k)))
+            gram /= n - 1
             if groups is not None:
-                gram *= np.sqrt(np.multiply.outer(groups[1], groups[1]))
+                # the centred rows are spent
+                weights = np.multiply.outer(
+                    groups[1], groups[1], out=_head(work, gram.shape), dtype=np.float64
+                )
+                gram *= np.sqrt(weights, out=weights)
         else:
-            gram = centered.T @ centered / (n - 1)
+            gram = np.matmul(centered.T, centered, out=_head(rows, (d, d)))
+            gram /= n - 1
     if not np.isfinite(gram).all():
         raise NonFiniteError("covariance beyond float64 range")
-    eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)[::-1]
+    eig = np.clip(_eigvalsh(gram, scratch=work), 0.0, None)[::-1]
     if not np.isfinite(eig).all():
         raise NonFiniteError("covariance beyond float64 range")
     spectrum = np.zeros(d)
@@ -134,26 +190,38 @@ def _key_vector(d: int) -> np.ndarray:
 
 def _row_keys(x: np.ndarray) -> np.ndarray:
     """Each row's product with :func:`_key_vector`, summed in one order for
-    every row, so equal rows get equal keys; a BLAS matrix-vector product
-    can round equal rows apart."""
+    every row, so equal rows get equal keys, wherever they sit in a
+    C-contiguous matrix; a BLAS matrix-vector product can round equal rows
+    apart."""
     return np.einsum("ij,j->i", x, _key_vector(x.shape[1]))
 
 
-def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The index of one row of each set of equal rows of ``x`` and the size
-    of each set, or None where no row repeats.
+def _distinct_rows(
+    x: np.ndarray, index: np.ndarray | None = None, keys: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The index of one row of each set of equal rows of ``x[index]`` (of
+    ``x`` where no index is given) and the size of each set, or None where
+    no row repeats.
 
     Rows are sorted by :func:`_row_keys`, and neighbours whose keys tie are
     compared entry by entry, so rows that differ are never taken as one.
     Equal rows that a tied row of other entries sorts apart stay apart,
-    which costs time, not accuracy.
+    which costs time, not accuracy.  A row's key does not depend on its
+    place, so ``keys``, the keys of a C-contiguous ``x`` where the caller
+    has them, serve every index; and two rows of ``x[index]`` that are
+    copies of one row of ``x`` are equal without a comparison.
     """
-    n = x.shape[0]
-    keys = _row_keys(x)
+    rows = np.arange(x.shape[0]) if index is None else index
+    keys = (_row_keys(x) if keys is None else keys)[rows]
+    n = rows.size
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     tied = np.flatnonzero(keys[1:] == keys[:-1])
-    repeats = tied[(x[order[tied]] == x[order[tied + 1]]).all(axis=1)]
+    a, b = rows[order[tied]], rows[order[tied + 1]]
+    equal = a == b
+    other = np.flatnonzero(~equal)
+    equal[other] = (x[a[other]] == x[b[other]]).all(axis=1)
+    repeats = tied[equal]
     if repeats.size == 0:
         return None
     first = np.ones(n, dtype=bool)
@@ -249,8 +317,12 @@ def _spectrum(spectrum: np.ndarray) -> np.ndarray:
 def spectral_stats(samples: np.ndarray) -> SpectralStats:
     """All five summaries for one activation matrix."""
     lam = covariance_spectrum(samples)
+    return _summaries(mean_activation_variance(samples), lam)
+
+
+def _summaries(mean_variance: float, lam: np.ndarray) -> SpectralStats:
     return SpectralStats(
-        mean_variance=mean_activation_variance(samples),
+        mean_variance=mean_variance,
         eff_rank=effective_rank(lam),
         stable_rank=stable_rank(lam),
         participation_ratio=participation_ratio(lam),
@@ -300,6 +372,19 @@ class DiagnosticsReport:
         return rows
 
 
+#: The ufunc buffer size, in elements, on a thread that draws.  A ufunc
+#: with a broadcast operand (a row minus the mean) takes a buffer of numpy's
+#: default 8192 elements per call; a smaller one keeps each thread's
+#: temporaries far below a resample, so the peak does not follow how the
+#: threads interleave.  No result changes with it.
+_UFUNC_BUFSIZE = 1024
+
+#: The thread count :func:`bootstrap_stats` draws on, None for one thread
+#: per CPU; :func:`diagnostics_report` sets it for its loop, so that its
+#: per-layer call keeps its three arguments.
+_DRAW_THREADS: ContextVar[int | None] = ContextVar("draw_threads", default=None)
+
+
 def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> LayerDiagnostics:
     """Resample rows with replacement and summarize each metric.
 
@@ -310,32 +395,109 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
     bit-identical across runs and thread settings for a given BLAS build.
     Called on its own, or where the BLAS's thread-count calls are not found,
     the bits follow the BLAS thread count in force.
+
+    The draws are shared out between the calling thread and up to
+    ``threads - 1`` worker threads (the count :func:`diagnostics_report`
+    was given, else one thread per CPU, at most one per draw), which are
+    joined before this returns.  Draw ``k`` fills column ``k`` of the
+    table, so the bits do not depend on the thread count.  Each thread
+    draws into two n x d buffers of its own, made before the first draw:
+    the resample and the rows the spectrum centres.  Where draws fail, the
+    error of the lowest failing draw is raised, as a serial loop would, and
+    the other threads stop at their next draw.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     x = activations.samples
-    n = x.shape[0]
+    n, d = x.shape
+    label = activations.label
+    # a row's key does not depend on where it sits in a C-contiguous
+    # matrix, so these serve every draw
+    keys = _row_keys(np.ascontiguousarray(x)) if n < d else None
     # a row per metric, a column per draw
     table = np.empty((len(METRIC_NAMES), draws))
+    threads = min(_DRAW_THREADS.get() or usable_cpus(), draws)
+    buffers = [(np.empty((n, d)), np.empty((n, d))) for _ in range(threads)]
+    todo = iter(range(draws))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failed: dict[int, Exception] = {}
+
+    def run(rows: np.ndarray, work: np.ndarray) -> None:
+        # a statistic beyond float64's range is refused below, with no
+        # overflow warning; the error state is each thread's own
+        with np.errstate(over="ignore", invalid="ignore"):
+            before = np.setbufsize(_UFUNC_BUFSIZE)
+            try:
+                while True:
+                    with lock:
+                        k = None if stop.is_set() else next(todo, None)
+                    if k is None:
+                        return
+                    try:
+                        index = keyed_stream(seed, f"bootstrap:{label}", k).integers(0, n, size=n)
+                        table[:, k] = astuple(_draw_stats(x, keys, index, rows, work))
+                    except Exception as exc:
+                        with lock:
+                            failed[k] = exc
+                        stop.set()
+                        return
+            finally:
+                np.setbufsize(before)
+
+    workers: list[threading.Thread] = []
+    try:
+        for rows, work in buffers[1:]:
+            worker = threading.Thread(target=run, args=(rows, work), name=f"bootstrap-{label}")
+            worker.start()
+            workers.append(worker)
+        run(*buffers[0])
+    finally:
+        stop.set()
+        for worker in workers:
+            worker.join()
     metrics = {}
     # a covariance outside float64's range, or a statistic beyond it, is
     # refused with the layer's name, and no overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for k in range(draws):
-                rng = keyed_stream(seed, f"bootstrap:{activations.label}", k)
-                idx = rng.integers(0, n, size=n)
-                table[:, k] = astuple(spectral_stats(x[idx]))
+            if failed:
+                raise failed[min(failed)]
             for metric, vals in zip(METRIC_NAMES, table):
                 mean, std = _mean_std(vals)
                 if not (math.isfinite(mean) and math.isfinite(std)):
                     raise NonFiniteError(f"{metric} beyond float64 range")
                 metrics[metric] = {"mean": mean, "std": std}
         except (NonFiniteError, DTypeOverflowError) as exc:
-            raise type(exc)(f"layer {activations.label!r}: {exc}") from None
-    return LayerDiagnostics(
-        label=activations.label, samples=n, features=x.shape[1], metrics=metrics
-    )
+            raise type(exc)(f"layer {label!r}: {exc}") from None
+    return LayerDiagnostics(label=label, samples=n, features=d, metrics=metrics)
+
+
+def _draw_stats(
+    x: np.ndarray, keys: np.ndarray | None, index: np.ndarray, rows: np.ndarray, work: np.ndarray
+) -> SpectralStats:
+    """``spectral_stats(x[index])``, with its bits, in the n x d buffers
+    ``rows`` and ``work``.
+
+    The resample is gathered into ``rows``, and its equal rows are found
+    from ``keys``, the keys of x's rows (None for n >= d).  Its column mean
+    serves both the variance and the spectrum.  The variance is taken
+    first, in ``work``, in the steps of numpy's ``var(axis=0, ddof=1)``:
+    subtract, square, sum over the rows, divide by n - 1.  The spectrum
+    then spends both buffers.
+    """
+    n = index.size
+    # mode "clip" (the index is in range) gathers straight into rows;
+    # the default mode gathers into a temporary first
+    resample = np.take(x, index, axis=0, out=rows, mode="clip")
+    mean = resample.mean(axis=0, keepdims=True)
+    squares = np.subtract(resample, mean, out=work)
+    squares *= squares
+    variance = squares.sum(axis=0)
+    variance /= n - 1
+    groups = None if keys is None else _distinct_rows(x, index, keys)
+    lam = covariance_spectrum(_Resample(resample, mean, groups, work))
+    return _summaries(float(variance.mean()), lam)
 
 
 def _mean_std(vals: np.ndarray) -> tuple[float, float]:
@@ -350,7 +512,7 @@ def _mean_std(vals: np.ndarray) -> tuple[float, float]:
 
 
 def diagnostics_report(
-    layers: Iterable[ActivationMatrix], draws: int, seed: int
+    layers: Iterable[ActivationMatrix], draws: int, seed: int, threads: int | None = None
 ) -> DiagnosticsReport:
     """Bootstrap every layer, in order, on one BLAS thread.
 
@@ -358,13 +520,22 @@ def diagnostics_report(
     generator that makes its layers one at a time is never asked to keep
     more than the ones it holds itself.  The whole loop, and so whatever
     the generator computes to make its layers, runs inside
-    :func:`_one_blas_thread`.
+    :func:`_one_blas_thread`.  A layer's draws run on ``threads`` threads
+    (default: one per CPU this process may run on), which are joined
+    before the next layer is taken; the report's bits do not depend on
+    the count.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     report = DiagnosticsReport(draws=draws, seed=seed)
-    with _one_blas_thread():
-        for layer in layers:
-            report.layers.append(bootstrap_stats(layer, draws, seed))
-            del layer
+    token = _DRAW_THREADS.set(threads)
+    try:
+        with _one_blas_thread():
+            for layer in layers:
+                report.layers.append(bootstrap_stats(layer, draws, seed))
+                del layer
+    finally:
+        _DRAW_THREADS.reset(token)
     return report
 
 
@@ -373,14 +544,12 @@ def _bundled_openblas() -> Path | None:
     return next(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"), None)
 
 
-@cache
-def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | str:
-    """The get/set thread-count pair of the scipy-openblas build that numpy's
-    wheel loads, or the reason there is none.
+def _loaded_openblas() -> ctypes.CDLL | str:
+    """The scipy-openblas library that numpy's wheel loaded, or the reason
+    there is none.
 
-    Looked up once.  ``RTLD_NOLOAD`` opens only a library the process has
-    already loaded, so a copy numpy does not use is never loaded here.
-    Other BLAS builds are left to their own thread count.
+    ``RTLD_NOLOAD`` opens only a library the process has already loaded, so
+    a copy numpy does not use is never loaded here.
     """
     if not hasattr(os, "RTLD_NOLOAD"):
         return "this platform cannot open a loaded library by path"
@@ -388,16 +557,94 @@ def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | st
     if path is None:
         return "numpy's wheel ships no scipy-openblas"
     try:
-        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        return ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
     except OSError:
         return f"{path.name} is not the BLAS numpy loaded"
+
+
+@cache
+def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | str:
+    """The get/set thread-count pair of the scipy-openblas build that numpy's
+    wheel loads, or the reason there is none.
+
+    Looked up once.  Other BLAS builds are left to their own thread count.
+    """
+    lib = _loaded_openblas()
+    if isinstance(lib, str):
+        return lib
     get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if get is None or put is None:
-        return f"{path.name} exports no get/set thread-count pair"
+        return "the loaded scipy-openblas exports no get/set thread-count pair"
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
+
+
+@cache
+def _lapack_dsyevd() -> Callable[..., None] | None:
+    """LAPACK's dsyevd in the scipy-openblas build that numpy's wheel loads
+    (the routine ``np.linalg.eigvalsh`` calls), or None where it is not
+    found.  Looked up once."""
+    lib = _loaded_openblas()
+    dsyevd = None if isinstance(lib, str) else getattr(lib, "scipy_dsyevd_64_", None)
+    if dsyevd is not None:
+        # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, and
+        # the hidden lengths of the two character arguments; arrays go by
+        # address (``ndarray.ctypes.data_as`` leaves a reference cycle
+        # that holds the array until the garbage collector runs)
+        int64, array = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+        dsyevd.argtypes = [ctypes.c_char_p, ctypes.c_char_p, int64, array, int64, array,
+                           array, int64, array, int64, int64, ctypes.c_size_t, ctypes.c_size_t]
+        dsyevd.restype = None
+    return dsyevd
+
+
+def _eigvalsh(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)``, with its bits, through a call that lets go
+    of the GIL, so that eigensolves on several threads overlap.
+
+    ctypes drops the GIL for the call; ``eigvalsh`` holds it.  The call is
+    numpy's: dsyevd with no eigenvectors on the lower triangle of a
+    Fortran-order copy, with the workspace its size query asks for.  Where
+    the routine is not found, or it reports a failure, ``eigvalsh`` itself
+    runs (and raises its own error).
+
+    Given ``scratch``, a float64 buffer the caller is done with, a
+    C-contiguous ``a`` equal to its transpose (its own Fortran-order copy)
+    is solved in its own memory, which it loses, and the workspace comes
+    from ``scratch`` where it fits.  A failure there raises the error
+    ``eigvalsh`` raises for it.
+    """
+    dsyevd = _lapack_dsyevd()
+    if dsyevd is None:
+        return np.linalg.eigvalsh(a)
+    n = a.shape[0]
+    in_place = scratch is not None and a.flags.c_contiguous and np.array_equal(a, a.T)
+    matrix = a if in_place else np.array(a, dtype=np.float64, order="F")
+    w = np.empty(n)
+    info = ctypes.c_int64(0)
+
+    def call(work: np.ndarray, lwork: int, iwork: np.ndarray, liwork: int) -> int:
+        dsyevd(b"N", b"L", ctypes.c_int64(n), matrix.ctypes.data, ctypes.c_int64(max(n, 1)),
+               w.ctypes.data, work.ctypes.data, ctypes.c_int64(lwork), iwork.ctypes.data,
+               ctypes.c_int64(liwork), info, 1, 1)
+        return info.value
+
+    # sizes of -1 ask for the workspace's sizes, written into sizes
+    sizes = np.empty(2)
+    if call(sizes[:1], -1, sizes[1:].view(np.int64), -1) != 0:
+        return np.linalg.eigvalsh(a)
+    lwork, liwork = int(sizes[0]), int(sizes[1:].view(np.int64)[0])
+    if in_place and lwork + liwork <= scratch.size:
+        space = scratch.reshape(-1)
+    else:
+        space = np.empty(lwork + liwork)
+    if call(space[:lwork], lwork, space[lwork : lwork + liwork].view(np.int64), liwork) == 0:
+        return w
+    if in_place:  # a is spent
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return np.linalg.eigvalsh(a)
 
 
 @contextmanager

@@ -9,6 +9,7 @@ narrowing from f32 rounds to nearest-even.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from typing import NamedTuple
 
@@ -63,6 +64,13 @@ def container_tag(code: str) -> str:
 def _check_code(code: str) -> None:
     if code not in DTYPES:
         raise UnsupportedDTypeError(f"unsupported dtype {code!r}")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (as taskset or a
+    cpuset sets it) where the platform reports one, else every CPU."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return len(cpus) if cpus else os.cpu_count() or 1
 
 
 class Workspace(threading.local):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import sys
 import time
 from collections import deque
@@ -781,10 +780,7 @@ def run_merge(job: MergeJob) -> MergeSummary:
 
     per_tensor: list[TensorStats] = []
     failed: list[str] = []
-    # by default one worker per CPU this process may run on (its affinity
-    # mask, as taskset or a cpuset sets it), where the platform reports one
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-    max_workers = job.threads or (len(cpus) if cpus else os.cpu_count() or 1)
+    max_workers = job.threads or dtypes.usable_cpus()
     with out:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             todo = iter(mergeable)
