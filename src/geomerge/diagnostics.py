@@ -3,8 +3,7 @@
 Spectral statistics of activation (or weight) matrices -- mean variance and
 rank measures of the feature covariance -- with bootstrap uncertainty, plus a
 small forward harness that generates per-layer activations from a stack of
-affine layers, and a norm-shrinkage report comparing merged checkpoints
-against their sources.
+affine layers.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dtypes import usable_cpus
-from .errors import AlignmentError, DTypeOverflowError, NonFiniteError
+from .errors import DTypeOverflowError, NonFiniteError
 from .rng import keyed_stream
-from .sphere import DEGENERATE_NORM, norm, normalized_weights
-from .tensor_io import Checkpoint
 
 logger = logging.getLogger(__name__)
 
@@ -727,41 +724,3 @@ def toy_forward_collect(
         collected.append(ActivationMatrix(label=f"layer_{k}", samples=x))
     return collected
 
-
-def weight_norm_report(
-    sources: Sequence[Checkpoint],
-    merged: Checkpoint,
-    weights: Sequence[float] | None = None,
-) -> list[dict[str, Any]]:
-    """Per-tensor norms of sources and merge, and the shrinkage ratio
-    ||merged|| / (sum_i alpha_i ||source_i||).
-
-    A ratio near 1 means the merge preserved scale; straight averaging of
-    disagreeing tensors lands strictly below 1.
-    """
-    m = len(sources)
-    if m == 0:
-        raise ValueError("weight_norm_report requires at least one source")
-    alphas = normalized_weights(np.ones(m) if weights is None else weights, m)
-
-    rows: list[dict[str, Any]] = []
-    for name in merged.names():
-        for i, src in enumerate(sources):
-            if name not in src:
-                raise AlignmentError(f"tensor {name!r} missing from source {i}")
-        source_norms = [norm(src[name].data) for src in sources]
-        merged_norm = norm(merged[name].data)
-        expected = float(np.dot(alphas, source_norms))
-        if expected < DEGENERATE_NORM:
-            ratio = 1.0 if merged_norm < DEGENERATE_NORM else math.inf
-        else:
-            ratio = merged_norm / expected
-        rows.append(
-            {
-                "name": name,
-                "source_norms": source_norms,
-                "merged_norm": merged_norm,
-                "shrinkage_ratio": ratio,
-            }
-        )
-    return rows

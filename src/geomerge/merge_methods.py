@@ -247,10 +247,12 @@ def _row_norms(stack: np.ndarray, norms: Sequence[float] | None = None) -> np.nd
 # -- merge rules -----------------------------------------------------------
 
 
-def merge_lerp(tensors: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
-    """Weighted Euclidean average."""
+def merge_lerp(
+    tensors: Sequence[np.ndarray], weights: Sequence[float], *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Weighted Euclidean average, into ``out`` if given."""
     w = normalized_weights(weights, len(tensors))
-    return weighted_sum(tensors, w)
+    return weighted_sum(tensors, w, out)
 
 
 def merge_slerp(
@@ -497,8 +499,8 @@ def merge_model_stock(
 #: base flat or None, normalized weights, out=None, norms=None) -> (merged
 #: flat, SolverStats or None); only the barycenter solver gives stats.
 #: Given ``out`` (as ``run_merge`` does), the flats are an m x n float64
-#: stack that the rule may overwrite, and every rule but lerp writes its
-#: result into ``out``.  ``norms``, if given, are the flats' norms from
+#: stack that the rule may overwrite, and every rule writes its result
+#: into ``out``.  ``norms``, if given, are the flats' norms from
 #: :func:`norm`, which the spherical rules then do not take again; the
 #: others ignore them.
 Rule = Callable[..., tuple[np.ndarray, SolverStats | None]]
@@ -554,7 +556,9 @@ METHODS: dict[str, MethodSpec] = {
             flats, w, KarcherConfig(eta=p("eta"), tol=p("tol"), max_iter=p("max_iter")), **kw
         ),
     ),
-    "lerp": MethodSpec((), lambda p, name, flats, base, w, **_: (merge_lerp(flats, w), None)),
+    "lerp": MethodSpec(
+        (), lambda p, name, flats, base, w, out=None, **_: (merge_lerp(flats, w, out=out), None)
+    ),
     "slerp": MethodSpec(
         ("t",),
         lambda p, name, flats, base, w, **kw: (

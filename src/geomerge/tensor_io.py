@@ -21,7 +21,7 @@ import math
 import os
 import stat
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -73,41 +73,6 @@ class TensorRecord:
 
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1)
-
-
-@dataclass
-class Checkpoint:
-    """In-memory checkpoint: uniquely named tensors, lexicographic order."""
-
-    tensors: dict[str, TensorRecord] = field(default_factory=dict)
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_records(
-        cls, records: Iterable[TensorRecord], metadata: dict[str, str] | None = None
-    ) -> "Checkpoint":
-        out: dict[str, TensorRecord] = {}
-        for rec in records:
-            if rec.name in out:
-                raise ValueError(f"duplicate tensor name {rec.name!r}")
-            out[rec.name] = rec
-        ordered = {name: out[name] for name in sorted(out)}
-        return cls(tensors=ordered, metadata=dict(metadata or {}))
-
-    def names(self) -> list[str]:
-        return sorted(self.tensors)
-
-    def __getitem__(self, name: str) -> TensorRecord:
-        try:
-            return self.tensors[name]
-        except KeyError:
-            raise TensorNotFoundError(f"tensor not found: {name}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
-    def __len__(self) -> int:
-        return len(self.tensors)
 
 
 @dataclass(frozen=True)
@@ -385,15 +350,6 @@ def open_checkpoint(path: str | os.PathLike) -> CheckpointHandle:
     return CheckpointHandle(path)
 
 
-def read_checkpoint(
-    path: str | os.PathLike, precision: str = "f32", strict: bool = True
-) -> Checkpoint:
-    """Eagerly load a whole container into memory."""
-    with open_checkpoint(path) as handle:
-        records = [handle.load_tensor(n, precision, strict) for n in handle.names()]
-        return Checkpoint.from_records(records, handle.metadata)
-
-
 def check_output_path(path: str | os.PathLike, renamed: bool = True) -> None:
     """Refuse, before any payload is read, an output ``path`` that names a
     directory, or whose parent is missing or not a directory, with the error
@@ -560,11 +516,15 @@ def write_checkpoint(
     output dtype's range is the one a :class:`DTypeOverflowError` names.
     The file is written to a temporary sibling and atomically renamed.
     """
-    records = Checkpoint.from_records(tensors).tensors
+    records: dict[str, TensorRecord] = {}
+    for rec in tensors:
+        if rec.name in records:
+            raise ValueError(f"duplicate tensor name {rec.name!r}")
+        records[rec.name] = rec
     shapes = {name: rec.shape for name, rec in records.items()}
     with CheckpointWriter(path, shapes, output_dtype, metadata, clamp_overflow) as out:
-        for name, rec in records.items():
-            out.put(name, rec.data)
+        for name in sorted(records):
+            out.put(name, records[name].data)
 
 
 @dataclass

@@ -27,7 +27,10 @@ merge and the two-point ``sphere.slerp`` as they were with whole-vector
 products, kept to pin the ones that write into ``out``.  The two-point maps
 ``normalize_to_sphere``, ``geodesic_distance``, ``sphere_log``,
 ``sphere_exp`` and ``frechet_objective`` were the package's own until no
-command reached them; they serve as reference geometry here.
+command reached them; they serve as reference geometry here.  So were a
+whole-container read and a norm-shrinkage report: ``read_records`` loads
+every tensor through the package's ``open_checkpoint``, and
+``shrinkage_ratio`` takes the report's ratio of in-memory arrays.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from geomerge.sphere import (
     normalized_weights,
     row_dots,
 )
+from geomerge.tensor_io import open_checkpoint
 
 
 # -- container format (independent writer) -----------------------------------
@@ -577,12 +581,29 @@ def bootstrap_stats_per_metric(
     return metrics
 
 
+# -- whole-container read and norm-shrinkage ratio (test helpers) ---------------
+
+
+def read_records(path, precision: str = "f32", strict: bool = True) -> dict:
+    """Every tensor of the container at ``path``, as ``{name: TensorRecord}``
+    in name order, each from ``load_tensor`` at ``precision``."""
+    with open_checkpoint(path) as handle:
+        return {name: handle.load_tensor(name, precision, strict) for name in handle.names()}
+
+
+def shrinkage_ratio(sources: Sequence[np.ndarray], merged: np.ndarray) -> float:
+    """||merged|| / sum_i alpha_i ||source_i|| at equal weights alpha_i: 1
+    where a merge keeps the weighted source norm, below 1 where it shrinks."""
+    alphas = normalized_weights(np.ones(len(sources)), len(sources))
+    return norm(merged) / float(np.dot(alphas, [norm(s) for s in sources]))
+
+
 # -- eager diagnose (reference input path) ---------------------------------------
 
 
 def diagnose_eager(input_path, spec_path=None, draws: int = 20, seed: int = 0):
     """The ``diagnose`` command's report as it was before it streamed: the
-    whole input is read at float64 (``read_checkpoint``), a toy forward runs
+    whole input is read at float64 (``read_records``), a toy forward runs
     as one ``toy_forward_collect`` call over the whole stack, and the layers
     go to ``diagnostics_report`` as one list.  Valid inputs only.
     """
@@ -591,13 +612,10 @@ def diagnose_eager(input_path, spec_path=None, draws: int = 20, seed: int = 0):
     import yaml
 
     from geomerge.diagnostics import ActivationMatrix, diagnostics_report, toy_forward_collect
-    from geomerge.tensor_io import read_checkpoint
 
-    ckpt = read_checkpoint(input_path, precision="f64")
+    ckpt = read_records(input_path, precision="f64")
     if spec_path is None:
-        indexed = [
-            (int(re.match(r"^layer_(\d+)$", name).group(1)), name) for name in ckpt.names()
-        ]
+        indexed = [(int(re.match(r"^layer_(\d+)$", name).group(1)), name) for name in ckpt]
         layers = [
             ActivationMatrix(label=name, samples=ckpt[name].data)
             for _, name in sorted(indexed, key=lambda kv: kv[0])

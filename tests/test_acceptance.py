@@ -21,7 +21,6 @@ from geomerge.diagnostics import (
     participation_ratio,
     spectral_stats,
     stable_rank,
-    weight_norm_report,
 )
 from geomerge.merge_methods import (
     MergeJob,
@@ -37,18 +36,14 @@ from geomerge.merge_methods import (
     run_merge,
 )
 from geomerge.sphere import karcher_mean
-from geomerge.tensor_io import (
-    Checkpoint,
-    TensorRecord,
-    open_checkpoint,
-    read_checkpoint,
-    write_checkpoint,
-)
+from geomerge.tensor_io import TensorRecord, open_checkpoint, write_checkpoint
 from oracles import (
     frechet_objective,
     geodesic_distance,
     grid_frechet_minimizer,
     hemisphere_points,
+    read_records,
+    shrinkage_ratio,
     sphere_grid,
     trim_reference,
 )
@@ -132,17 +127,8 @@ def test_c04_norm_preservation_vs_chord_shrinkage():
         assert stats.converged
         assert abs(np.linalg.norm(karcher_out) - 1.0) < 1e-6
 
-        ckpts = [
-            Checkpoint.from_records([TensorRecord("w", src)]) for src in sources
-        ]
-        karcher_rows = weight_norm_report(
-            ckpts, Checkpoint.from_records([TensorRecord("w", karcher_out)])
-        )
-        lerp_rows = weight_norm_report(
-            ckpts, Checkpoint.from_records([TensorRecord("w", lerp_out)])
-        )
-        assert abs(karcher_rows[0]["shrinkage_ratio"] - 1.0) < 1e-6
-        assert abs(lerp_rows[0]["shrinkage_ratio"] - 1.0 / math.sqrt(m)) < 1e-9
+        assert abs(shrinkage_ratio(sources, karcher_out) - 1.0) < 1e-6
+        assert abs(shrinkage_ratio(sources, lerp_out) - 1.0 / math.sqrt(m)) < 1e-9
     _passed(4, "karcher ratio 1.0 vs lerp ratio 1/sqrt(m), m = 2..11")
 
 
@@ -327,13 +313,13 @@ def test_c10_collapse_direction_demo(tmp_path):
             for h in handles:
                 h.close()
 
-    sources = [read_checkpoint(p) for p in expert_paths]
-    merged_karcher = read_checkpoint(tmp_path / "merged_karcher.st")
-    merged_lerp = read_checkpoint(tmp_path / "merged_lerp.st")
-    for row in weight_norm_report(sources, merged_karcher):
-        assert abs(row["shrinkage_ratio"] - 1.0) <= 1e-6
-    for row in weight_norm_report(sources, merged_lerp):
-        assert row["shrinkage_ratio"] < 0.9
+    def ratios(kind):  # the summary's norm_out / sum_i w_i norm_in_i, equal weights
+        return [t.norm_out / np.mean(t.norm_in) for t in outputs[kind].per_tensor]
+
+    for ratio in ratios("karcher"):
+        assert abs(ratio - 1.0) <= 1e-6
+    for ratio in ratios("lerp"):
+        assert ratio < 0.9
 
     toy_spec = tmp_path / "toy.yaml"
     toy_spec.write_text(
@@ -427,7 +413,7 @@ def test_c12_identical_checkpoint_round_trip(tmp_path):
             )
             summary = _run_merge_checked(job)
         assert summary.tensors_merged == len(arrays)
-        merged = read_checkpoint(out_path)
+        merged = read_records(out_path)
         for name, original in arrays.items():
             np.testing.assert_array_equal(
                 merged[name].data, original, err_msg=f"{kind}:{name}"

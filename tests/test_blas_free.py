@@ -25,11 +25,10 @@ import pytest
 
 from geomerge import dtypes
 from geomerge.cli import main
-from geomerge.diagnostics import weight_norm_report
 from geomerge.errors import DTypeOverflowError
 from geomerge.sphere import norm
-from geomerge.tensor_io import TensorRecord, read_checkpoint, write_checkpoint
-from oracles import encode_array_direct
+from geomerge.tensor_io import TensorRecord, write_checkpoint
+from oracles import encode_array_direct, read_records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -120,17 +119,16 @@ def test_outputs_do_not_depend_on_blas_threads(f32_models):
         assert one[0] == two[0], f"{kind}: checkpoint differs between 1 and 2 BLAS threads"
 
 
-def test_weight_norm_report_matches_the_merge_norm_in(f32_models):
+def test_source_norms_match_the_merge_norm_in(f32_models):
     root = f32_models
     out = root / "lerp-report.st"
     assert main(["merge", str(_recipe(root, "lerp", "lerp-report"))]) == 0
     norm_in = {row["name"]: row["norm_in"] for row in _summary(out)["per_tensor"]}
-    sources = [read_checkpoint(root / f"{t}.st") for t in "abc"]
-    rows = weight_norm_report(sources, read_checkpoint(out))
-    assert sorted(norm_in) == [row["name"] for row in rows]
-    for row in rows:
+    sources = [read_records(root / f"{t}.st") for t in "abc"]
+    assert sorted(norm_in) == list(read_records(out))
+    for name, norms in norm_in.items():
         # both sum the same f32 values in float64, in the same order
-        assert row["source_norms"] == norm_in[row["name"]], row["name"]
+        assert [norm(src[name].data) for src in sources] == norms, name
 
 
 def test_norm_of_f32_makes_no_full_length_copy():

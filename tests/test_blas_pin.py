@@ -27,8 +27,8 @@ import pytest
 from geomerge import cli, diagnostics
 from geomerge.cli import main
 from geomerge.rng import keyed_stream
-from geomerge.tensor_io import TensorRecord, read_checkpoint, write_checkpoint
-from oracles import bootstrap_stats_per_metric
+from geomerge.tensor_io import TensorRecord, write_checkpoint
+from oracles import bootstrap_stats_per_metric, read_records
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -232,9 +232,9 @@ def write_reference(out: str, path: str, spec: str | None = None) -> None:
     or of :func:`_toy_inputs` at ``WIDTH`` and ``SAMPLES`` when ``spec`` is
     given, built from the per-metric oracle, which takes no BLAS pin: under
     ``OPENBLAS_NUM_THREADS=1`` these are the one-thread bits."""
-    ckpt = read_checkpoint(path, precision="f64")
+    ckpt = read_records(path, precision="f64")
     if spec is None:
-        layers = [(name, ckpt[name].data) for name in ckpt.names()]
+        layers = [(name, ckpt[name].data) for name in ckpt]
     else:
         weights = [ckpt[f"fc{k}.weight"].data for k in (1, 2)]
         inputs = keyed_stream(3, "toy-forward-input", 0).standard_normal((SAMPLES, WIDTH))

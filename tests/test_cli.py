@@ -9,8 +9,8 @@ import pytest
 
 from geomerge import diagnostics
 from geomerge.cli import main
-from geomerge.tensor_io import TensorRecord, read_checkpoint, write_checkpoint
-from oracles import covariance_spectrum_direct
+from geomerge.tensor_io import TensorRecord, write_checkpoint
+from oracles import covariance_spectrum_direct, read_records
 
 
 @pytest.fixture
@@ -113,7 +113,7 @@ class TestMerge:
     def test_strict_failure_of_multi_argument_exception_exit_3(self, workspace, capsys, monkeypatch):
         from geomerge import merge_methods
 
-        def broken(tensors, weights):
+        def broken(tensors, weights, **kw):
             raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
         monkeypatch.setattr(merge_methods, "merge_lerp", broken)
@@ -321,7 +321,7 @@ class TestInspect:
         payload = json.loads(capsys.readouterr().out)
         names = [t["name"] for t in payload["tensors"]]
         assert names == ["w0", "w1"]
-        ck = read_checkpoint(workspace / "a.st", precision="f64")
+        ck = read_records(workspace / "a.st", precision="f64")
         for entry in payload["tensors"]:
             expected = float(np.linalg.norm(ck[entry["name"]].data))
             assert abs(entry["norm"] - expected) <= 1e-6 * max(expected, 1.0)

@@ -42,6 +42,7 @@ from geomerge.diagnostics import (
 )
 from geomerge.errors import DTypeOverflowError, NonFiniteError
 from geomerge.rng import keyed_stream
+from oracles import read_records
 from test_blas_pin import (
     DRAWS,
     SAMPLES,
@@ -206,7 +207,7 @@ def test_each_draw_passes_the_groups_of_its_resample(monkeypatch):
 def test_the_lowest_failing_draw_is_refused(tmp_path, monkeypatch, capsys):
     acts = _activations(tmp_path, [(16, 40), (16, 40)])
     n = 16
-    x = tensor_io.read_checkpoint(acts, precision="f64")["layer_1"].data
+    x = read_records(acts, precision="f64")["layer_1"].data
     fails = {x[_index("layer_1", 3, n)].tobytes(): (3, 0.05, NonFiniteError),
              x[_index("layer_1", 5, n)].tobytes(): (5, 0.0, DTypeOverflowError)}
     real = diagnostics.covariance_spectrum

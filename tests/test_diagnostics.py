@@ -1,4 +1,4 @@
-"""Spectral statistics, bootstrap reports, toy forward harness, norm report."""
+"""Spectral statistics, bootstrap reports, toy forward harness, shrinkage ratio."""
 
 from __future__ import annotations
 
@@ -18,12 +18,9 @@ from geomerge.diagnostics import (
     spectral_stats,
     stable_rank,
     toy_forward_collect,
-    weight_norm_report,
 )
-from geomerge.errors import AlignmentError
 from geomerge.merge_methods import merge_karcher, merge_lerp
-from geomerge.tensor_io import Checkpoint, TensorRecord
-from oracles import covariance_spectrum_direct
+from oracles import covariance_spectrum_direct, shrinkage_ratio
 
 
 def _cov_by_hand(x: np.ndarray) -> np.ndarray:
@@ -316,38 +313,17 @@ class TestToyForward:
         assert np.all(np.abs(acts[1].samples) <= 1.0)
 
 
-class TestWeightNormReport:
-    def _ckpt(self, arrays):
-        return Checkpoint.from_records([TensorRecord(n, a) for n, a in arrays.items()])
-
-    def test_single_source_ratio_one(self):
-        ck = self._ckpt({"w": np.array([3.0, 4.0])})
-        rows = weight_norm_report([ck], ck)
-        assert rows[0]["shrinkage_ratio"] == pytest.approx(1.0)
+class TestShrinkageRatio:
+    """The ratio ||merged|| / sum_i alpha_i ||source_i|| of merges of
+    in-memory arrays, as the merge summary gives it from its norms."""
 
     def test_lerp_of_orthogonal_tensors_shrinks_by_sqrt2(self):
-        a = self._ckpt({"w": 2.0 * np.eye(4)[0]})
-        b = self._ckpt({"w": 2.0 * np.eye(4)[1]})
-        merged = self._ckpt({"w": merge_lerp([a["w"].data, b["w"].data], [1, 1])})
-        rows = weight_norm_report([a, b], merged)
-        assert abs(rows[0]["shrinkage_ratio"] - 1.0 / np.sqrt(2)) < 1e-6
+        a, b = 2.0 * np.eye(4)[0], 2.0 * np.eye(4)[1]
+        merged = merge_lerp([a, b], [1, 1])
+        assert abs(shrinkage_ratio([a, b], merged) - 1.0 / np.sqrt(2)) < 1e-6
 
     def test_karcher_merge_ratio_is_one(self):
         rng = np.random.default_rng(83)
         tensors = [rng.standard_normal(12) for _ in range(4)]
-        merged_vec, _ = merge_karcher(tensors, np.ones(4))
-        sources = [self._ckpt({"w": t}) for t in tensors]
-        merged = self._ckpt({"w": merged_vec})
-        rows = weight_norm_report(sources, merged)
-        assert abs(rows[0]["shrinkage_ratio"] - 1.0) < 1e-6
-
-    def test_zero_tensors_ratio_defined_as_one(self):
-        z = self._ckpt({"b": np.zeros(3)})
-        rows = weight_norm_report([z, z], z)
-        assert rows[0]["shrinkage_ratio"] == 1.0
-
-    def test_missing_source_tensor_raises(self):
-        a = self._ckpt({"w": np.ones(2)})
-        b = self._ckpt({"v": np.ones(2)})
-        with pytest.raises(AlignmentError, match="'w'"):
-            weight_norm_report([a, b], a)
+        merged, _ = merge_karcher(tensors, np.ones(4))
+        assert abs(shrinkage_ratio(tensors, merged) - 1.0) < 1e-6

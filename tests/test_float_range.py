@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from geomerge.errors import DTypeOverflowError, NonFiniteError
-from geomerge.tensor_io import TensorRecord, open_checkpoint, read_checkpoint, write_checkpoint
+from geomerge.tensor_io import TensorRecord, open_checkpoint, write_checkpoint
+from oracles import read_records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -123,5 +124,5 @@ class TestNormsBeyondFloat64:
         summary = _strict_json((huge / "m.st.summary.json").read_text())
         assert summary["tensors_skipped"] == ["w"]
         assert [t["name"] for t in summary["per_tensor"]] == ["ok"]
-        merged = read_checkpoint(huge / "m.st", precision="f64")
+        merged = read_records(huge / "m.st", precision="f64")
         assert merged["w"].data.tolist() == [1e308] * 4  # the first source's copy

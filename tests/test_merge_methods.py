@@ -25,8 +25,8 @@ from geomerge.merge_methods import (
     run_merge,
 )
 from geomerge.sphere import KarcherConfig
-from geomerge.tensor_io import TensorRecord, open_checkpoint, read_checkpoint, write_checkpoint
-from oracles import hemisphere_points
+from geomerge.tensor_io import TensorRecord, open_checkpoint, write_checkpoint
+from oracles import hemisphere_points, read_records
 
 E1, E2, E3 = np.eye(3)
 
@@ -404,7 +404,7 @@ class TestRunMerge:
             )
             summary = run_merge(job)
         assert summary.tensors_merged == 1
-        out = read_checkpoint(tmp_path / "out.st")
+        out = read_records(tmp_path / "out.st")
         np.testing.assert_array_equal(out["a"].data, arrays["a"])
 
     def test_three_copies_idempotent_for_geometric_and_linear_rules(self, tmp_path):
@@ -423,7 +423,7 @@ class TestRunMerge:
             finally:
                 for h in handles:
                     h.close()
-            out = read_checkpoint(tmp_path / f"out_{kind}.st")
+            out = read_records(tmp_path / f"out_{kind}.st")
             np.testing.assert_array_equal(out["a"].data, arrays["a"], err_msg=kind)
 
     def test_summary_counts_match_alignment(self, tmp_path):
@@ -464,9 +464,9 @@ class TestRunMerge:
                     out_dtype="f64",
                 )
                 run_merge(job)
-        karcher = read_checkpoint(tmp_path / "out_karcher.st", precision="f64")
-        slerp = read_checkpoint(tmp_path / "out_slerp.st", precision="f64")
-        for name in karcher.names():
+        karcher = read_records(tmp_path / "out_karcher.st", precision="f64")
+        slerp = read_records(tmp_path / "out_slerp.st", precision="f64")
+        for name in karcher:
             ref = slerp[name].data
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(karcher[name].data - ref)) <= 1e-6 * max(scale, 1e-30)
@@ -506,7 +506,7 @@ class TestRunMerge:
             summary = run_merge(job)
         assert summary.tensors_merged == 1
         assert summary.tensors_skipped == ["extra"]
-        out = read_checkpoint(tmp_path / "out.st")
+        out = read_records(tmp_path / "out.st")
         np.testing.assert_array_equal(out["extra"].data, extra)
 
     def test_permissive_numeric_failure_copies_base(self, tmp_path):
@@ -522,7 +522,7 @@ class TestRunMerge:
             )
             summary = run_merge(job)
         assert summary.tensors_skipped == ["x"]
-        out = read_checkpoint(tmp_path / "out.st")
+        out = read_records(tmp_path / "out.st")
         np.testing.assert_array_equal(out["x"].data, [1.0, 0.0])
 
     def test_strict_numeric_failure_names_tensor(self, tmp_path):
@@ -536,7 +536,7 @@ class TestRunMerge:
                 run_merge(job)
 
     def test_strict_failure_keeps_type_of_multi_argument_exception(self, tmp_path, monkeypatch):
-        def broken(tensors, weights):
+        def broken(tensors, weights, **kw):
             raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
 
         monkeypatch.setattr(merge_methods, "merge_lerp", broken)
@@ -582,6 +582,6 @@ class TestRunMerge:
                 out_dtype="f64",
             )
             run_merge(job)
-        out = read_checkpoint(tmp_path / "out.st", precision="f64")
+        out = read_records(tmp_path / "out.st", precision="f64")
         expected = 0.75 * a_data.astype(np.float64) + 0.25 * b_data.astype(np.float64)
         np.testing.assert_allclose(out["x"].data, expected, rtol=1e-15)

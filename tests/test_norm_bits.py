@@ -2,10 +2,10 @@
 upcast.
 
 ``run_merge`` decodes every source straight into a float64 row and reports
-``norm_in`` from those rows, while ``weight_norm_report`` and the streaming
-merge before it took the norm of the float32 values.  einsum widens float32
-input through an 8192-element buffer and sums the float64 data unbuffered;
-the summaries stay byte-identical only if both give the same bits.  The
+``norm_in`` from those rows, while the streaming merge before it took the
+norm of the float32 values.  einsum widens float32 input through an
+8192-element buffer and sums the float64 data unbuffered; the summaries
+stay byte-identical only if both give the same bits.  The
 squares of float32 values never overflow a float64 sum, so neither form
 takes the rescaling path, even at float32's largest magnitudes.
 """

@@ -19,7 +19,8 @@ from geomerge import dtypes
 from geomerge.cli import _build_parser, main
 from geomerge.errors import UnsupportedDTypeError
 from geomerge.merge_methods import MergeJob, MergeMethod
-from geomerge.tensor_io import TensorRecord, read_checkpoint, working_dtype, write_checkpoint
+from geomerge.tensor_io import TensorRecord, working_dtype, write_checkpoint
+from oracles import read_records
 
 
 def _write_peak(path, records) -> int:
@@ -44,7 +45,7 @@ def test_write_peak_does_not_grow_with_tensor_count(tmp_path):
     # writing eight tensors may hold at most one more encoded tensor than
     # writing one does; holding all eight encoded buffers costs 7 more
     assert eight - one < 2 * encoded + header, (eight - one) / encoded
-    assert read_checkpoint(tmp_path / "eight.st").names() == [r.name for r in records]
+    assert list(read_records(tmp_path / "eight.st")) == [r.name for r in records]
 
 
 def _setup(tmp_path, big=1.0):
@@ -102,11 +103,11 @@ def test_fallbacks_are_thread_count_independent(tmp_path):
     summary = outputs[0][1]
     assert summary["tensors_skipped"] == ["d", "n"]
     assert [t["name"] for t in summary["per_tensor"]] == ["big", "w"]
-    merged = read_checkpoint(tmp_path / "m.st", strict=False)
-    assert merged.names() == ["big", "d", "n", "w"]
+    merged = read_records(tmp_path / "m.st", strict=False)
+    assert list(merged) == ["big", "d", "n", "w"]
     # the numeric failure comes from the base, the shape conflict from source 0
     np.testing.assert_array_equal(merged["n"].data, np.ones(6, dtype=np.float32))
-    first = read_checkpoint(tmp_path / "a.st")["d"].data
+    first = read_records(tmp_path / "a.st")["d"].data
     bf16 = dtypes.decode_buffer(dtypes.encode_array(first, "bf16"), "bf16", first.size)
     np.testing.assert_array_equal(merged["d"].data, bf16)
 

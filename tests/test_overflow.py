@@ -23,8 +23,8 @@ import pytest
 
 from geomerge.cli import main
 from geomerge.sphere import norm
-from geomerge.tensor_io import TensorRecord, read_checkpoint, write_checkpoint
-from oracles import build_container
+from geomerge.tensor_io import TensorRecord, write_checkpoint
+from oracles import build_container, read_records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -107,7 +107,7 @@ def test_sources_whose_squared_norm_overflows(tmp_path):
         summary = _strict_json((tmp_path / f"{kind}.st.summary.json").read_text())
         (stats,) = summary["per_tensor"]
         assert stats["norm_in"] == [2e200, 4e200]
-        merged = read_checkpoint(tmp_path / f"{kind}.st", precision="f64")["w"].data
+        merged = read_records(tmp_path / f"{kind}.st", precision="f64")["w"].data
         assert np.isfinite(merged).all(), (kind, merged)
         assert stats["norm_out"] == norm(merged)
         if kind != "lerp":  # norm-preserving: the mean of the source norms
@@ -146,7 +146,7 @@ class TestOverflowingMerge:
         summary = _strict_json((models / "task_arithmetic.st.summary.json").read_text())
         assert summary["tensors_skipped"] == ["w"]
         assert [s["name"] for s in summary["per_tensor"]] == ["ok"]
-        merged = read_checkpoint(models / "task_arithmetic.st", precision="f64")
+        merged = read_records(models / "task_arithmetic.st", precision="f64")
         assert merged["w"].data.tobytes() == np.zeros(5).tobytes()  # the base's copy
         assert merged["ok"].data.tobytes() == np.zeros((2, 3)).tobytes()
 

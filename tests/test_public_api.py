@@ -3,6 +3,9 @@
 ``geomerge.__all__`` is sorted with no duplicates, and every name in it
 resolves.  The two-point sphere maps that no command reached are no longer
 part of the package; their reference copies live in ``tests/oracles.py``.
+Nor are the whole-model container, its eager load and the norm-shrinkage
+report built on them: ``tests/oracles.py`` has a whole-container read and
+the shrinkage ratio, and the merge summary gives the ratio's norms.
 """
 
 from __future__ import annotations
@@ -10,9 +13,10 @@ from __future__ import annotations
 import pytest
 
 import geomerge
-from geomerge import sphere
+from geomerge import diagnostics, sphere, tensor_io
 
 MOVED = ("normalize_to_sphere", "geodesic_distance", "sphere_log", "sphere_exp", "frechet_objective")
+REMOVED = ("Checkpoint", "read_checkpoint", "weight_norm_report")
 
 
 def test_all_is_sorted_without_duplicates():
@@ -29,3 +33,10 @@ def test_moved_sphere_maps_are_not_exported(name):
     assert name not in geomerge.__all__
     assert not hasattr(geomerge, name)
     assert not hasattr(sphere, name)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_whole_model_surface_is_gone(name):
+    assert name not in geomerge.__all__
+    for module in (geomerge, tensor_io, diagnostics):
+        assert not hasattr(module, name), module.__name__

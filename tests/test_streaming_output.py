@@ -24,7 +24,8 @@ import pytest
 from geomerge import merge_methods, tensor_io
 from geomerge.cli import main
 from geomerge.errors import DTypeOverflowError
-from geomerge.tensor_io import CheckpointWriter, TensorRecord, read_checkpoint, write_checkpoint
+from geomerge.tensor_io import CheckpointWriter, TensorRecord, write_checkpoint
+from oracles import read_records
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -85,7 +86,7 @@ class TestWriter:
         )
         write_checkpoint(tmp_path / "o.st", [TensorRecord("w", np.ones(3))])
         assert calls == ["fsync", "replace"]
-        assert read_checkpoint(tmp_path / "o.st")["w"].data.tolist() == [1.0, 1.0, 1.0]
+        assert read_records(tmp_path / "o.st")["w"].data.tolist() == [1.0, 1.0, 1.0]
 
     def test_a_failed_sync_leaves_nothing(self, tmp_path, monkeypatch):
         def failing_fsync(fd):
@@ -114,7 +115,7 @@ class TestWriter:
             with pytest.raises(ValueError, match=message):
                 out.put("w", np.ones(5))
             out.put("w", np.ones(6))
-        assert read_checkpoint(tmp_path / "o.st")["w"].shape == (2, 3)
+        assert read_records(tmp_path / "o.st")["w"].shape == (2, 3)
 
     def test_a_tensor_never_written_fails_the_commit(self, tmp_path):
         with pytest.raises(ValueError, match="tensor 'b' was laid out but never written"):
@@ -200,10 +201,10 @@ class TestRunMergeStreams:
         workers: set[int] = set()
         real_lerp = merge_methods.merge_lerp
 
-        def lerp(tensors, weights):
+        def lerp(tensors, weights, **kw):
             workers.add(threading.get_ident())
             time.sleep(0.01)  # room for a second worker, were there one, to take a tensor
-            return real_lerp(tensors, weights)
+            return real_lerp(tensors, weights, **kw)
 
         monkeypatch.setattr(merge_methods, "merge_lerp", lerp)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -221,12 +222,12 @@ class TestRunMergeStreams:
         window_started = threading.Event()
         real_lerp = merge_methods.merge_lerp
 
-        def lerp(tensors, weights):
+        def lerp(tensors, weights, **kw):
             with lock:
                 started.append(None)
                 if len(started) >= 2 * threads:
                     window_started.set()
-            return real_lerp(tensors, weights)
+            return real_lerp(tensors, weights, **kw)
 
         first_done: list[int] = []
         real_stats = merge_methods.TensorStats

@@ -20,7 +20,6 @@ from geomerge.errors import (
 from geomerge.tensor_io import (
     TensorRecord,
     open_checkpoint,
-    read_checkpoint,
     validate_aligned,
     write_checkpoint,
 )
@@ -29,6 +28,7 @@ from oracles import (
     build_container,
     f16_bits_to_float,
     float_to_bf16_bits,
+    read_records,
 )
 
 
@@ -51,14 +51,14 @@ class TestRoundTrip:
         rng = np.random.default_rng(1)
         data = rng.standard_normal(37)
         path = _write(tmp_path, "a.st", [TensorRecord("a", data)], dtype="f64")
-        rec = read_checkpoint(path, precision="f64")["a"]
+        rec = read_records(path, precision="f64")["a"]
         np.testing.assert_array_equal(rec.data, data)
 
     def test_f16_round_to_nearest_even(self, tmp_path):
         rng = np.random.default_rng(2)
         data = rng.standard_normal(256).astype(np.float32) * 100
         path = _write(tmp_path, "a.st", [TensorRecord("a", data)], dtype="f16")
-        rec = read_checkpoint(path)["a"]
+        rec = read_records(path)["a"]
         expected = data.astype(np.float16).astype(np.float32)
         np.testing.assert_array_equal(rec.data, expected)
 
@@ -66,7 +66,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(3)
         data = (rng.standard_normal(128) * 10).astype(np.float32)
         path = _write(tmp_path, "a.st", [TensorRecord("a", data)], dtype="bf16")
-        rec = read_checkpoint(path)["a"]
+        rec = read_records(path)["a"]
         expected = np.array(
             [bf16_bits_to_float(float_to_bf16_bits(float(v))) for v in data],
             dtype=np.float32,
@@ -98,7 +98,7 @@ class TestRoundTrip:
             TensorRecord("empty", np.zeros((0, 4), dtype=np.float32)),
         ]
         path = _write(tmp_path, "edge.st", records)
-        ck = read_checkpoint(path)
+        ck = read_records(path)
         assert ck["scalar"].shape == ()
         assert float(ck["scalar"].data) == 7.5
         assert ck["empty"].shape == (0, 4)
@@ -106,7 +106,7 @@ class TestRoundTrip:
     def test_f32_loads_exactly_into_f64(self, tmp_path):
         data = np.array([0.1, 1 / 3, 1e-30], dtype=np.float32)
         path = _write(tmp_path, "a.st", [TensorRecord("a", data)])
-        rec = read_checkpoint(path, precision="f64")["a"]
+        rec = read_records(path, precision="f64")["a"]
         np.testing.assert_array_equal(rec.data, data.astype(np.float64))
 
 
@@ -129,7 +129,7 @@ class TestKnownBitPatterns:
         blob = build_container({"x": ("BF16", [1], raw)})
         path = tmp_path / "bf16.st"
         path.write_bytes(blob)
-        rec = read_checkpoint(path)["x"]
+        rec = read_records(path)["x"]
         assert rec.data[0] == 1.5
         assert bf16_bits_to_float(0x3FC0) == 1.5
 
@@ -195,22 +195,25 @@ class TestErrors:
             assert np.isnan(rec.data[1])
 
     def test_write_overflow_error_names_tensor(self, tmp_path):
-        rec = TensorRecord("big", np.array([1e40], dtype=np.float64))
-        with pytest.raises(DTypeOverflowError, match="big"):
-            write_checkpoint(tmp_path / "o.st", [rec], output_dtype="f16")
+        # given out of name order; the first in name order is the one named
+        recs = [TensorRecord(n, np.array([1e40], dtype=np.float64)) for n in ("late", "big")]
+        with pytest.raises(DTypeOverflowError, match="^tensor 'big'"):
+            write_checkpoint(tmp_path / "o.st", recs, output_dtype="f16")
 
     def test_write_overflow_clamp(self, tmp_path):
         rec = TensorRecord("big", np.array([1e40, -1e40, 1.0]))
         path = tmp_path / "o.st"
         write_checkpoint(path, [rec], output_dtype="f16", clamp_overflow=True)
-        out = read_checkpoint(path)["big"].data
+        out = read_records(path)["big"].data
         limit = float(np.finfo(np.float16).max)
         np.testing.assert_allclose(out, [limit, -limit, 1.0])
 
     def test_duplicate_names_rejected(self, tmp_path):
-        recs = [TensorRecord("a", np.ones(1)), TensorRecord("a", np.zeros(1))]
-        with pytest.raises(ValueError, match="duplicate"):
+        recs = [TensorRecord("a", np.ones(1)), TensorRecord("b", np.ones(2)),
+                TensorRecord("a", np.zeros(1))]
+        with pytest.raises(ValueError, match="^duplicate tensor name 'a'$"):
             write_checkpoint(tmp_path / "d.st", recs)
+        assert list(tmp_path.iterdir()) == []  # no output, no temporary file
 
 
 class TestAtomicWrite:
@@ -311,7 +314,7 @@ class TestHeaderCompat:
         blob = len(header).to_bytes(8, "little") + header + raw
         path = tmp_path / "pad.st"
         path.write_bytes(blob)
-        rec = read_checkpoint(path)["a"]
+        rec = read_records(path)["a"]
         np.testing.assert_array_equal(rec.data, [1.0, 1.0])
 
 

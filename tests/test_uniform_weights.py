@@ -1,10 +1,10 @@
 """One weight normalizer: no weights means uniform weights, from
 ``sphere.normalized_weights`` alone.
 
-A job or report with ``weights=None`` gives the same bytes as one with
-``[1.0] * m``: the checkpoint, the summary (without ``wall_ms``) and the
-weight-norm report.  Every weight vector of ``src/`` comes from
-``normalized_weights``; an ``ast`` scan finds no hand-built ``np.full``.
+A job with ``weights=None`` gives the same bytes as one with ``[1.0] * m``:
+the checkpoint and the summary (without ``wall_ms``).  Every weight vector
+of ``src/`` comes from ``normalized_weights``; an ``ast`` scan finds no
+hand-built ``np.full``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomerge.diagnostics import weight_norm_report
 from geomerge.merge_methods import MergeJob, MergeMethod, run_merge
 from geomerge.sphere import normalized_weights
-from geomerge.tensor_io import Checkpoint, TensorRecord, open_checkpoint, write_checkpoint
+from geomerge.tensor_io import TensorRecord, open_checkpoint, write_checkpoint
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geomerge"
 
@@ -69,17 +68,6 @@ def test_no_weights_merges_as_equal_weights(tmp_path, kind, m):
     ones = _merge(paths, base, kind, [1.0] * m, tmp_path / "ones.st")
     assert uniform == ones
     assert (tmp_path / "none.st").read_bytes() == (tmp_path / "ones.st").read_bytes()
-
-
-@pytest.mark.parametrize("m", [1, 3, 10])
-def test_no_weights_reports_as_equal_weights(m):
-    rng = np.random.default_rng(m)
-    sources = [
-        Checkpoint.from_records([TensorRecord("w", rng.standard_normal(5) * (i + 1))])
-        for i in range(m)
-    ]
-    merged = Checkpoint.from_records([TensorRecord("w", rng.standard_normal(5))])
-    assert weight_norm_report(sources, merged) == weight_norm_report(sources, merged, [1] * m)
 
 
 def test_uniform_weights_are_the_rounded_reciprocal():

@@ -22,7 +22,7 @@ from geomerge import dtypes
 from geomerge.delta_ops import SparsifySpec, della_drop, sparsify_stream
 from geomerge.errors import DTypeOverflowError, NonFiniteError
 from geomerge.merge_methods import METHODS, MergeJob, MergeMethod, run_merge
-from geomerge.tensor_io import CheckpointWriter, open_checkpoint
+from geomerge.tensor_io import CheckpointHandle, CheckpointWriter, open_checkpoint
 from oracles import build_container, run_merge_held
 
 CODES = ("f64", "f32", "f16", "bf16")
@@ -229,30 +229,48 @@ def test_a_second_tensor_allocates_under_two_vectors(tmp_path, monkeypatch, meth
     assert peak - before_y < 2 * vector, (peak - before_y) / vector
 
 
-def test_task_arithmetic_second_tensor_allocates_under_one_vector(tmp_path, monkeypatch):
-    """Task arithmetic makes its deltas in the workspace's stack rows, as
-    the other delta methods do, and keeps no per-tensor scratch vector."""
-    rng = np.random.default_rng(31)
+# each method's parameters and data seed
+IN_PLACE = {
+    "lerp": ({}, 43),
+    "slerp": ({"t": 0.3}, 41),
+    "task_arithmetic": ({"lambda": 0.7}, 31),
+    "model_stock": ({}, 37),
+}
+
+
+@pytest.mark.parametrize("method", list(IN_PLACE))
+def test_a_second_tensor_allocates_under_one_vector(tmp_path, monkeypatch, method):
+    """lerp sums into the workspace's out vector.  slerp normalizes the two
+    source rows in place by the norms ``merge_one`` took, and writes the
+    geodesic point into the out vector through one block of scratch.  Task
+    arithmetic makes its deltas in the stack rows, as the other delta
+    methods do, and keeps no per-tensor scratch vector.  Model Stock takes
+    the expert mean into the out vector and makes its deltas in the stack
+    rows; the blend with the base runs over column blocks.  So none makes a
+    fresh n-length vector per tensor."""
+    params, seed = IN_PLACE[method]
+    rng = np.random.default_rng(seed)
     base = rng.standard_normal(N)
     for tag in ("base", "a", "b", "c"):
         values = base if tag == "base" else base + rng.standard_normal(N)
         _container(tmp_path / f"{tag}.st", {"x": ("f32", values), "y": ("f32", values[::-1])})
     marks: list[int] = []
-    put = CheckpointWriter.put
+    load = CheckpointHandle.load_tensor
 
-    def mark(self, name, array):
-        put(self, name, array)
-        if name == "x":  # the one worker turns to y next
+    def mark(self, name, *args, **kwargs):
+        if name == "y" and not marks:  # the one worker is done with x and all it made
             marks.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
+        return load(self, name, *args, **kwargs)
 
-    monkeypatch.setattr(CheckpointWriter, "put", mark)
+    monkeypatch.setattr(CheckpointHandle, "load_tensor", mark)
+    models = "ab" if method == "slerp" else "abc"
     with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open_checkpoint(tmp_path / f"{t}.st")) for t in "abc"]
+        handles = [stack.enter_context(open_checkpoint(tmp_path / f"{t}.st")) for t in models]
         job = MergeJob(
             sources=handles,
             base=stack.enter_context(open_checkpoint(tmp_path / "base.st")),
-            method=MergeMethod("task_arithmetic", {"lambda": 0.7}),
+            method=MergeMethod(method, params),
             out_path=tmp_path / "out.st",
             threads=1,
         )
@@ -262,86 +280,9 @@ def test_task_arithmetic_second_tensor_allocates_under_one_vector(tmp_path, monk
             before_y, peak = marks[0], tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # about half a vector is left: weighted_sum's product block; a fresh
-    # n-length delta on top of it would pass one
-    assert peak - before_y < 8 * N, (peak - before_y) / (8 * N)
-
-
-def test_model_stock_second_tensor_allocates_under_one_vector(tmp_path, monkeypatch):
-    """Model Stock takes the expert mean into the workspace's out vector and
-    makes its deltas in the stack rows; the blend with the base runs over
-    column blocks, so no fresh n-length vector is made per tensor."""
-    rng = np.random.default_rng(37)
-    base = rng.standard_normal(N)
-    for tag in ("base", "a", "b", "c"):
-        values = base if tag == "base" else base + rng.standard_normal(N)
-        _container(tmp_path / f"{tag}.st", {"x": ("f32", values), "y": ("f32", values[::-1])})
-    marks: list[int] = []
-    put = CheckpointWriter.put
-
-    def mark(self, name, array):
-        put(self, name, array)
-        if name == "x":  # the one worker turns to y next
-            marks.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
-
-    monkeypatch.setattr(CheckpointWriter, "put", mark)
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open_checkpoint(tmp_path / f"{t}.st")) for t in "abc"]
-        job = MergeJob(
-            sources=handles,
-            base=stack.enter_context(open_checkpoint(tmp_path / "base.st")),
-            method=MergeMethod("model_stock"),
-            out_path=tmp_path / "out.st",
-            threads=1,
-        )
-        tracemalloc.start()
-        try:
-            run_merge(job)
-            before_y, peak = marks[0], tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # about half a vector is left: the weighted sum's product block, or the
-    # blend's block of the base; a fresh delta or mean would pass one
-    assert peak - before_y < 8 * N, (peak - before_y) / (8 * N)
-
-
-def test_slerp_second_tensor_allocates_under_one_vector(tmp_path, monkeypatch):
-    """slerp normalizes the workspace's two source rows in place by the
-    norms ``merge_one`` took, and writes the geodesic point into the out
-    vector through one block of scratch, so no fresh n-length vector is
-    made per tensor."""
-    rng = np.random.default_rng(41)
-    base = rng.standard_normal(N)
-    for tag in ("a", "b"):
-        values = base + rng.standard_normal(N)
-        _container(tmp_path / f"{tag}.st", {"x": ("f32", values), "y": ("f32", values[::-1])})
-    marks: list[int] = []
-    put = CheckpointWriter.put
-
-    def mark(self, name, array):
-        put(self, name, array)
-        if name == "x":  # the one worker turns to y next
-            marks.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.reset_peak()
-
-    monkeypatch.setattr(CheckpointWriter, "put", mark)
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open_checkpoint(tmp_path / f"{t}.st")) for t in "ab"]
-        job = MergeJob(
-            sources=handles,
-            method=MergeMethod("slerp", {"t": 0.3}),
-            out_path=tmp_path / "out.st",
-            threads=1,
-        )
-        tracemalloc.start()
-        try:
-            run_merge(job)
-            before_y, peak = marks[0], tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # about half a vector is left: the q-term's block of scratch; fresh
-    # unit vectors or a fresh result would pass one
+    # about half a vector is left: the weighted sum's product block, slerp's
+    # block of scratch, or the blend's block of the base; a fresh result,
+    # unit vector, delta or mean would pass one
     assert peak - before_y < 8 * N, (peak - before_y) / (8 * N)
 
 
