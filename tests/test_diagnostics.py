@@ -317,6 +317,10 @@ class TestShrinkageRatio:
     """The ratio ||merged|| / sum_i alpha_i ||source_i|| of merges of
     in-memory arrays, as the merge summary gives it from its norms."""
 
+    def test_single_source_ratio_one(self):
+        w = np.array([3.0, 4.0])
+        assert shrinkage_ratio([w], merge_lerp([w], [1])) == pytest.approx(1.0)
+
     def test_lerp_of_orthogonal_tensors_shrinks_by_sqrt2(self):
         a, b = 2.0 * np.eye(4)[0], 2.0 * np.eye(4)[1]
         merged = merge_lerp([a, b], [1, 1])

@@ -2,9 +2,9 @@
 ``sphere.normalized_weights`` alone.
 
 A job with ``weights=None`` gives the same bytes as one with ``[1.0] * m``:
-the checkpoint and the summary (without ``wall_ms``).  Every weight vector
-of ``src/`` comes from ``normalized_weights``; an ``ast`` scan finds no
-hand-built ``np.full``.
+the checkpoint, the summary (without ``wall_ms``) and the shrinkage ratio
+its norms give.  Every weight vector of ``src/`` comes from
+``normalized_weights``; an ``ast`` scan finds no hand-built ``np.full``.
 """
 
 from __future__ import annotations
@@ -68,6 +68,25 @@ def test_no_weights_merges_as_equal_weights(tmp_path, kind, m):
     ones = _merge(paths, base, kind, [1.0] * m, tmp_path / "ones.st")
     assert uniform == ones
     assert (tmp_path / "none.st").read_bytes() == (tmp_path / "ones.st").read_bytes()
+
+
+@pytest.mark.parametrize("m", [1, 3, 10])
+def test_no_weights_reports_as_equal_weights(tmp_path, m):
+    """The summary's norms give the same shrinkage ratio
+    norm_out / sum_i w_i norm_in_i with no weights as with ``[1.0] * m``."""
+    paths, base = _models(tmp_path, m)
+    reports = []
+    for weights, out in ((None, "none.st"), ([1.0] * m, "ones.st")):
+        alphas = normalized_weights(np.ones(m) if weights is None else weights, m)
+        summary = _merge(paths, base, "lerp", weights, tmp_path / out)
+        reports.append(
+            {
+                row["name"]: row["norm_out"] / float(np.dot(alphas, row["norm_in"]))
+                for row in summary["per_tensor"]
+            }
+        )
+    assert sorted(reports[0]) == sorted(SHAPES)
+    assert reports[0] == reports[1]
 
 
 def test_uniform_weights_are_the_rounded_reciprocal():
