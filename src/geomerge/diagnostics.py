@@ -14,7 +14,6 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import astuple, dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -287,18 +286,14 @@ def participation_ratio(spectrum: np.ndarray) -> float:
     return float(lam.sum()) ** 2 / float(np.sum(lam**2))
 
 
-def numerical_rank(spectrum: np.ndarray, rel_tol: float | None = None) -> int:
-    """Count of eigenvalues above ``rel_tol * lambda_max``.
-
-    The default threshold is d * machine epsilon (float64), the usual
-    numerical-rank convention.
-    """
+def numerical_rank(spectrum: np.ndarray) -> int:
+    """Count of eigenvalues above d * machine epsilon (float64) times
+    lambda_max, the usual numerical-rank convention."""
     lam = _spectrum(spectrum)
     lmax = float(lam.max(initial=0.0))
     if lmax <= 0.0:
         return 0
-    if rel_tol is None:
-        rel_tol = lam.size * float(np.finfo(np.float64).eps)
+    rel_tol = lam.size * float(np.finfo(np.float64).eps)
     return int(np.count_nonzero(lam > rel_tol * lmax))
 
 
@@ -376,13 +371,10 @@ class DiagnosticsReport:
 #: threads interleave.  No result changes with it.
 _UFUNC_BUFSIZE = 1024
 
-#: The thread count :func:`bootstrap_stats` draws on, None for one thread
-#: per CPU; :func:`diagnostics_report` sets it for its loop, so that its
-#: per-layer call keeps its three arguments.
-_DRAW_THREADS: ContextVar[int | None] = ContextVar("draw_threads", default=None)
 
-
-def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> LayerDiagnostics:
+def bootstrap_stats(
+    activations: ActivationMatrix, draws: int, seed: int, threads: int | None = None
+) -> LayerDiagnostics:
     """Resample rows with replacement and summarize each metric.
 
     Draw ``k`` uses the stream keyed by (seed, "bootstrap:<label>", k), so
@@ -394,17 +386,18 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
     the bits follow the BLAS thread count in force.
 
     The draws are shared out between the calling thread and up to
-    ``threads - 1`` worker threads (the count :func:`diagnostics_report`
-    was given, else one thread per CPU, at most one per draw), which are
-    joined before this returns.  Draw ``k`` fills column ``k`` of the
-    table, so the bits do not depend on the thread count.  Each thread
-    draws into two n x d buffers of its own, made before the first draw:
-    the resample and the rows the spectrum centres.  Where draws fail, the
-    error of the lowest failing draw is raised, as a serial loop would, and
-    the other threads stop at their next draw.
+    ``threads - 1`` worker threads (default: one thread per CPU; at most
+    one per draw), which are joined before this returns.  Draw ``k`` fills
+    column ``k`` of the table, so the bits do not depend on the thread
+    count.  Each thread draws into two n x d buffers of its own, made
+    before the first draw: the resample and the rows the spectrum centres.
+    Where draws fail, the error of the lowest failing draw is raised, as a
+    serial loop would, and the other threads stop at their next draw.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     x = activations.samples
     n, d = x.shape
     label = activations.label
@@ -413,7 +406,7 @@ def bootstrap_stats(activations: ActivationMatrix, draws: int, seed: int) -> Lay
     keys = _row_keys(np.ascontiguousarray(x)) if n < d else None
     # a row per metric, a column per draw
     table = np.empty((len(METRIC_NAMES), draws))
-    threads = min(_DRAW_THREADS.get() or usable_cpus(), draws)
+    threads = min(threads or usable_cpus(), draws)
     buffers = [(np.empty((n, d)), np.empty((n, d))) for _ in range(threads)]
     todo = iter(range(draws))
     lock = threading.Lock()
@@ -525,14 +518,10 @@ def diagnostics_report(
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     report = DiagnosticsReport(draws=draws, seed=seed)
-    token = _DRAW_THREADS.set(threads)
-    try:
-        with _one_blas_thread():
-            for layer in layers:
-                report.layers.append(bootstrap_stats(layer, draws, seed))
-                del layer
-    finally:
-        _DRAW_THREADS.reset(token)
+    with _one_blas_thread():
+        for layer in layers:
+            report.layers.append(bootstrap_stats(layer, draws, seed, threads))
+            del layer
     return report
 
 

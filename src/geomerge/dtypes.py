@@ -36,14 +36,6 @@ WORKING_PRECISIONS = ("f32", "f64")
 
 _TAG_TO_CODE = {d.tag: code for code, d in DTYPES.items()}
 
-# Largest finite magnitude representable in each target (clamp saturation).
-_MAX_FINITE = {
-    "f64": float(np.finfo(np.float64).max),
-    "f32": float(np.finfo(np.float32).max),
-    "f16": float(np.finfo(np.float16).max),
-    "bf16": 3.3895313892515355e38,  # 0x7F7F widened
-}
-
 
 def code_from_tag(tag: str) -> str:
     if tag not in _TAG_TO_CODE:
@@ -165,13 +157,12 @@ def decode_buffer(
 
 
 def encode_array(
-    values: np.ndarray, code: str, clamp: bool = False, work: Workspace | None = None
+    values: np.ndarray, code: str, work: Workspace | None = None
 ) -> "bytes | np.ndarray":
     """Encode a float array to the container representation of ``code``.
 
     Overflow means a finite input that is no longer finite after rounding to
-    the target type.  It raises :class:`DTypeOverflowError` by default;
-    with ``clamp`` the value saturates at the largest finite magnitude.
+    the target type.  It raises :class:`DTypeOverflowError`.
 
     Without ``work`` the result is fresh ``bytes``.  With it, the
     temporaries are taken from ``work`` (``f32`` staging, ``u32`` rounding,
@@ -196,13 +187,7 @@ def encode_array(
     if overflowed.any():
         overflowed &= np.isfinite(flat)
     if overflowed.any():
-        if not clamp:
-            culprits = flat[overflowed]
-            worst = float(culprits[np.argmax(np.abs(culprits))])
-            raise DTypeOverflowError(f"value {worst!r} not representable as {code}")
-        # an overflow needs a cast, so ``words`` is not ``values`` here
-        saturated = np.sign(flat) * _MAX_FINITE[code]
-        if code == "bf16":
-            saturated = f32_to_bf16(saturated.astype(np.float32))
-        np.copyto(words, saturated, where=overflowed, casting="unsafe")
+        culprits = flat[overflowed]
+        worst = float(culprits[np.argmax(np.abs(culprits))])
+        raise DTypeOverflowError(f"value {worst!r} not representable as {code}")
     return words if work is not None else words.tobytes()

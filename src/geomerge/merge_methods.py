@@ -384,12 +384,11 @@ def merge_dare(
     density: float = 0.5,
     seed: int = 0,
     tensor_name: str = "",
-    model_indices: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Random drop-and-rescale of each delta, then lerp or ties combination:
     :func:`merge_della` with ``window=0``."""
     spec = SparsifySpec(density=density, drop_rate=drop_rate, window=0.0, seed=seed)
-    return merge_della(base, experts, weights, spec, combine, tensor_name, model_indices)
+    return merge_della(base, experts, weights, spec, combine, tensor_name)
 
 
 def merge_della(
@@ -399,7 +398,6 @@ def merge_della(
     spec: SparsifySpec,
     combine: str = "lerp",
     tensor_name: str = "",
-    model_indices: Sequence[int] | None = None,
     *,
     scaling: float = 1.0,
     out: np.ndarray | None = None,
@@ -407,14 +405,15 @@ def merge_della(
     """Magnitude-aware drop-and-rescale, then lerp or ties combination,
     the combined delta scaled by ``scaling`` and added to the base.
 
-    Each delta is dropped in place, all drops sharing one buffer of draws.
-    With ``drop_rate=0`` (hence ``window=0``) nothing is dropped and no
-    random draw is made.  The ties combination makes, drops and trims each
-    delta in its own row of one m x n stack, then elects signs and takes
-    the disjoint mean over that same stack; the result buffer serves in
-    turn as the draws, the trim's scratch and the signs.  The lerp
-    combination sums each delta as it is made, so no list of all m deltas
-    is held.
+    Each delta is dropped in place, all drops sharing one buffer of draws;
+    the delta of expert ``i`` draws from the stream keyed by
+    (``spec.seed``, ``tensor_name``, ``i``).  With ``drop_rate=0`` (hence
+    ``window=0``) nothing is dropped and no random draw is made.  The ties
+    combination makes, drops and trims each delta in its own row of one
+    m x n stack, then elects signs and takes the disjoint mean over that
+    same stack; the result buffer serves in turn as the draws, the trim's
+    scratch and the signs.  The lerp combination sums each delta as it is
+    made, so no list of all m deltas is held.
 
     ``out``, if given, is a float64 vector that receives the result, and
     the deltas are then made in the rows of ``experts`` itself when it is
@@ -425,7 +424,6 @@ def merge_della(
         raise ConfigError(f"unknown combine mode {combine!r}; expected 'lerp' or 'ties'")
     b = np.ravel(base)
     w = normalized_weights(weights, len(experts))
-    indices = range(len(experts)) if model_indices is None else model_indices
     stack = None if out is None else stack_rows(experts)
     out = np.empty(b.size) if out is None else out
 
@@ -442,11 +440,11 @@ def merge_della(
         # the given stack or else in one buffer that serves every delta
         draws = np.empty(b.size if spec.drop_rate > 0.0 else 0)
         rows = repeat(np.empty(b.size)) if stack is None else stack
-        deltas = (delta(e, idx, draws, row) for e, row, idx in zip(experts, rows, indices))
+        deltas = (delta(e, idx, draws, row) for idx, (e, row) in enumerate(zip(experts, rows)))
         weighted_sum(deltas, w, out)
     else:
         stack = np.empty((w.size, b.size)) if stack is None else stack
-        for row, expert, idx in zip(stack, experts, indices):
+        for idx, (row, expert) in enumerate(zip(stack, experts)):
             delta(expert, idx, out, row)
             trim_topk(row, spec.density, out=row, scratch=out)
         disjoint_merge(stack, w, elect_signs(stack, w, out), out)

@@ -4,8 +4,8 @@ Every stochastic operation in the package draws from a Philox generator
 keyed by ``(seed, label, index)``.  The key is derived with a stable hash,
 so a stream depends only on those three values -- never on thread count,
 iteration order, or platform hash randomization.  Sparsification uses
-``label=tensor name, index=model index``; bootstrap resampling uses
-``label="bootstrap", index=draw index``.
+``label=tensor name, index=the expert's position``; bootstrap resampling
+uses ``label="bootstrap:<layer label>", index=draw index``.
 """
 
 from __future__ import annotations

@@ -55,7 +55,6 @@ class KarcherConfig:
     eta: float = 1.0
     tol: float = 1e-6
     max_iter: int = 50
-    antipodal_eps: float = ANTIPODAL_EPS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta <= 1.0:
@@ -64,8 +63,6 @@ class KarcherConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.antipodal_eps <= 0.0:
-            raise ValueError(f"antipodal_eps must be positive, got {self.antipodal_eps}")
 
 
 @dataclass
@@ -210,7 +207,7 @@ def combined_norm(coef: np.ndarray, rows: np.ndarray) -> float:
 
 
 def _tangent_coefficients(
-    dots: np.ndarray, beta: np.ndarray, w: np.ndarray, antipodal_eps: float, iteration: int
+    dots: np.ndarray, beta: np.ndarray, w: np.ndarray, iteration: int
 ) -> np.ndarray:
     """Coefficients on the unit points of the weighted mean of log maps.
 
@@ -220,7 +217,7 @@ def _tangent_coefficients(
     which is tangent at x by construction.
     """
     dots = np.clip(dots, -1.0, 1.0)
-    bad = np.nonzero(dots <= -1.0 + antipodal_eps)[0]
+    bad = np.nonzero(dots <= -1.0 + ANTIPODAL_EPS)[0]
     if bad.size:
         raise AntipodalError(
             f"point {int(bad[0])} is antipodal to the iterate at iteration {iteration}"
@@ -238,7 +235,6 @@ def _at_iterate(
     inv_norms: np.ndarray,
     beta: np.ndarray,
     w: np.ndarray,
-    antipodal_eps: float,
     iteration: int,
     out: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -258,7 +254,7 @@ def _at_iterate(
     x /= x_norm
     beta = beta / x_norm
     dots = reduce(np.add, (row_dots(pts[:, cols], x[cols]) for cols in blocks))
-    gamma = _tangent_coefficients(dots * inv_norms, beta, w, antipodal_eps, iteration)
+    gamma = _tangent_coefficients(dots * inv_norms, beta, w, iteration)
     residual = combined_norm(gamma * inv_norms, pts)
     return x, beta, gamma, residual
 
@@ -316,13 +312,11 @@ def karcher_mean(
     iteration = 0
     stalled = False
     while True:
-        gamma = _tangent_coefficients(gram @ beta, beta, w, cfg.antipodal_eps, iteration)
+        gamma = _tangent_coefficients(gram @ beta, beta, w, iteration)
         r2 = float(gamma @ gram @ gamma)
         last = stalled or iteration == cfg.max_iter
         if last or r2 < tol2 + slack * float(np.abs(gamma).sum()) ** 2:
-            x, beta, gamma, residual = _at_iterate(
-                pts, inv_norms, beta, w, cfg.antipodal_eps, iteration, out
-            )
+            x, beta, gamma, residual = _at_iterate(pts, inv_norms, beta, w, iteration, out)
             if residual < cfg.tol or last:
                 converged = residual < cfg.tol
                 return KarcherResult(

@@ -367,7 +367,8 @@ def check_output_path(path: str | os.PathLike, renamed: bool = True) -> None:
 class CheckpointWriter:
     """Write a container whose layout is fixed before any payload exists.
 
-    The header is laid out from ``{name: shape}`` and ``output_dtype`` alone:
+    The header is laid out from ``{name: shape}`` and ``output_dtype`` alone,
+    with no ``__metadata__``:
     names in lexicographic order, each buffer ``elements x itemsize`` bytes,
     so identical inputs always give byte-identical files.  Construction opens
     a fresh temporary sibling of ``path`` and writes the header; :meth:`put`
@@ -382,17 +383,12 @@ class CheckpointWriter:
         path: str | os.PathLike,
         shapes: dict[str, tuple[int, ...]],
         output_dtype: str = "f32",
-        metadata: dict[str, str] | None = None,
-        clamp_overflow: bool = False,
     ):
         size = dtypes.itemsize(output_dtype)
         if "__metadata__" in shapes:
             raise ValueError("tensor name '__metadata__' is reserved")
         self.output_dtype = output_dtype
-        self.clamp_overflow = clamp_overflow
         header: dict[str, object] = {}
-        if metadata:
-            header["__metadata__"] = {str(k): str(v) for k, v in metadata.items()}
         self._spans: dict[str, tuple[int, int]] = {}
         cursor = 0
         for name in sorted(shapes):
@@ -441,18 +437,18 @@ class CheckpointWriter:
 
         A value outside the output dtype's range raises
         :class:`DTypeOverflowError` naming the tensor and its largest such
-        value (or saturates when ``clamp_overflow`` is set).  Each thread
+        value.  Each thread
         encodes :data:`_ENCODE_BLOCK` entries at a time into buffers of its
         own, kept for its next tensor, and writes each block from them.  An
         array that does not fit the layout is refused before any write.
         """
         offset, nbytes = self._spans[name]
         flat = np.ravel(array)
-        code, clamp = self.output_dtype, self.clamp_overflow
+        code = self.output_dtype
         size = dtypes.itemsize(code)
         try:
             if flat.size * size != nbytes:
-                dtypes.encode_array(flat, code, clamp)  # an overflow is told first
+                dtypes.encode_array(flat, code)  # an overflow is told first
                 raise ValueError(
                     f"tensor {name!r} encodes to {flat.size * size} bytes, "
                     f"its layout holds {nbytes}"
@@ -460,7 +456,7 @@ class CheckpointWriter:
             for j in range(0, flat.size, _ENCODE_BLOCK):
                 block = flat[j : j + _ENCODE_BLOCK]
                 try:
-                    words = dtypes.encode_array(block, code, clamp, self._work)
+                    words = dtypes.encode_array(block, code, self._work)
                 except DTypeOverflowError:
                     dtypes.encode_array(flat, code)  # names the whole tensor's largest value
                     raise
@@ -505,8 +501,6 @@ def write_checkpoint(
     path: str | os.PathLike,
     tensors: Iterable[TensorRecord],
     output_dtype: str = "f32",
-    metadata: dict[str, str] | None = None,
-    clamp_overflow: bool = False,
 ) -> None:
     """Write tensors to ``path`` at ``output_dtype`` through a
     :class:`CheckpointWriter`.
@@ -522,7 +516,7 @@ def write_checkpoint(
             raise ValueError(f"duplicate tensor name {rec.name!r}")
         records[rec.name] = rec
     shapes = {name: rec.shape for name, rec in records.items()}
-    with CheckpointWriter(path, shapes, output_dtype, metadata, clamp_overflow) as out:
+    with CheckpointWriter(path, shapes, output_dtype) as out:
         for name in sorted(records):
             out.put(name, records[name].data)
 

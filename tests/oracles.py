@@ -354,13 +354,11 @@ def karcher_mean_to_max_iter(
     slack = 16.0 * (m + np.sqrt(n)) * np.finfo(np.float64).eps
     iteration = 0
     while True:
-        gamma = _tangent_coefficients(gram @ beta, beta, w, cfg.antipodal_eps, iteration)
+        gamma = _tangent_coefficients(gram @ beta, beta, w, iteration)
         r2 = float(gamma @ gram @ gamma)
         last = iteration == cfg.max_iter
         if last or r2 < cfg.tol**2 + slack * float(np.abs(gamma).sum()) ** 2:
-            x, beta, gamma, residual = _at_iterate(
-                pts, inv_norms, beta, w, cfg.antipodal_eps, iteration, out
-            )
+            x, beta, gamma, residual = _at_iterate(pts, inv_norms, beta, w, iteration, out)
             if residual < cfg.tol or last:
                 return KarcherResult(x, iteration, residual, residual < cfg.tol)
             r = residual
@@ -378,7 +376,6 @@ def _at_iterate_unblocked(
     inv_norms: np.ndarray,
     beta: np.ndarray,
     w: np.ndarray,
-    antipodal_eps: float,
     iteration: int,
     out: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -389,7 +386,7 @@ def _at_iterate_unblocked(
     x_norm = norm(x)
     x /= x_norm
     beta = beta / x_norm
-    gamma = _tangent_coefficients(row_dots(pts, x) * inv_norms, beta, w, antipodal_eps, iteration)
+    gamma = _tangent_coefficients(row_dots(pts, x) * inv_norms, beta, w, iteration)
     residual = norm(combine_rows(gamma * inv_norms, pts))
     return x, beta, gamma, residual
 
@@ -426,12 +423,12 @@ def karcher_mean_unblocked(
     iteration = 0
     stalled = False
     while True:
-        gamma = _tangent_coefficients(gram @ beta, beta, w, cfg.antipodal_eps, iteration)
+        gamma = _tangent_coefficients(gram @ beta, beta, w, iteration)
         r2 = float(gamma @ gram @ gamma)
         last = stalled or iteration == cfg.max_iter
         if last or r2 < cfg.tol**2 + slack * float(np.abs(gamma).sum()) ** 2:
             x, beta, gamma, residual = _at_iterate_unblocked(
-                pts, inv_norms, beta, w, cfg.antipodal_eps, iteration, out
+                pts, inv_norms, beta, w, iteration, out
             )
             if residual < cfg.tol or last:
                 converged = residual < cfg.tol
@@ -881,11 +878,6 @@ def drop_rescale_direct(
 # -- dtype encoding (re-widening overflow check) --------------------------------
 
 _STORAGE = {"f64": "<f8", "f32": "<f4", "f16": "<f2", "bf16": "<u2"}
-_MAX_FINITE = {
-    "f32": float(np.finfo(np.float32).max),
-    "f16": float(np.finfo(np.float16).max),
-    "bf16": 3.3895313892515355e38,  # bits 0x7F7F
-}
 
 
 def _f32_to_bf16_direct(values: np.ndarray) -> np.ndarray:
@@ -911,7 +903,7 @@ def decode_buffer_direct(raw: bytes, code: str, count: int) -> np.ndarray:
     return arr.astype(arr.dtype.newbyteorder("="))
 
 
-def encode_array_direct(values: np.ndarray, code: str, clamp: bool = False) -> bytes:
+def encode_array_direct(values: np.ndarray, code: str) -> bytes:
     """Container encoding that finds overflow by widening the rounded result
     back to float32 and testing it for finiteness.  Raises ``OverflowError``
     with the message ``dtypes.encode_array`` gives its DTypeOverflowError."""
@@ -931,15 +923,9 @@ def encode_array_direct(values: np.ndarray, code: str, clamp: bool = False) -> b
 
     overflowed = finite_in & ~np.isfinite(out_values)
     if overflowed.any():
-        if not clamp:
-            culprits = flat[overflowed]
-            worst = float(culprits[np.argmax(np.abs(culprits))])
-            raise OverflowError(f"value {worst!r} not representable as {code}")
-        saturated = np.sign(flat) * _MAX_FINITE[code]
-        if code == "bf16":
-            bits = np.where(overflowed, _f32_to_bf16_direct(saturated.astype(np.float32)), bits)
-        else:
-            out_values = np.where(overflowed, saturated, out_values).astype(out_values.dtype)
+        culprits = flat[overflowed]
+        worst = float(culprits[np.argmax(np.abs(culprits))])
+        raise OverflowError(f"value {worst!r} not representable as {code}")
 
     if code == "bf16":
         return bits.astype(storage).tobytes()

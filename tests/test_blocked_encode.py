@@ -53,14 +53,6 @@ def test_the_error_names_the_whole_tensors_largest_value(tmp_path, code):
     assert repr(OVERFLOWS[code][1]) in str(got.value)
 
 
-@pytest.mark.parametrize("code", sorted(OVERFLOWS))
-def test_clamp_gives_the_bytes_of_one_encode(tmp_path, code):
-    values = _values(code)
-    with CheckpointWriter(tmp_path / "o.st", {"x": (N,)}, code, clamp_overflow=True) as writer:
-        writer.put("x", values)
-    assert _payload(tmp_path / "o.st") == encode_array_direct(values, code, clamp=True)
-
-
 @pytest.mark.parametrize("code", ["f64", "f32", "f16", "bf16"])
 def test_blocks_give_the_bytes_of_one_encode(tmp_path, code):
     values = np.random.default_rng(8).standard_normal((N, 2))[:, 0]  # strided

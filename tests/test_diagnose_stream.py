@@ -204,9 +204,9 @@ def _counting_bootstraps(monkeypatch) -> list[str]:
     labels: list[str] = []
     real = diagnostics.bootstrap_stats
 
-    def spy(layer, draws, seed):
+    def spy(layer, draws, seed, threads=None):
         labels.append(layer.label)
-        return real(layer, draws, seed)
+        return real(layer, draws, seed, threads)
 
     monkeypatch.setattr(diagnostics, "bootstrap_stats", spy)
     return labels

@@ -183,10 +183,6 @@ class TestRankMeasures:
         assert numerical_rank(np.ones(6)) == 6
         assert numerical_rank(np.zeros(4)) == 0
 
-    def test_numerical_rank_explicit_tolerance(self):
-        lam = np.array([1.0, 1e-3, 1e-9])
-        assert numerical_rank(lam, rel_tol=1e-6) == 2
-
     def test_bounds_on_random_spectra(self):
         rng = np.random.default_rng(73)
         for _ in range(50):
@@ -264,6 +260,12 @@ class TestBootstrap:
         layer = ActivationMatrix("layer_0", np.ones((4, 2)))
         with pytest.raises(ValueError):
             bootstrap_stats(layer, draws=0, seed=0)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_must_be_positive(self, threads):
+        layer = ActivationMatrix("layer_0", np.ones((4, 2)))
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+            bootstrap_stats(layer, draws=2, seed=0, threads=threads)
 
 
 class TestToyForward:

@@ -104,7 +104,7 @@ def test_n_space_residual_overrules_the_gram_estimate(monkeypatch):
 
     def spy(*args):
         found = real(*args)
-        calls.append((args[5], found[3]))  # (iteration, n-space residual)
+        calls.append((args[4], found[3]))  # (iteration, n-space residual)
         return found
 
     monkeypatch.setattr(sphere, "_at_iterate", spy)

@@ -343,23 +343,6 @@ class TestPermutationEquivariance:
         b, _ = merge_karcher(pt, pw)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_seeded_method_with_permuted_indices(self):
-        rng = np.random.default_rng(54)
-        base = rng.standard_normal(20)
-        experts = [rng.standard_normal(20) for _ in range(3)]
-        w = np.array([0.2, 0.3, 0.5])
-        ref = merge_dare(base, experts, w, 0.5, seed=2, tensor_name="k")
-        perm = [1, 2, 0]
-        out = merge_dare(
-            base,
-            [experts[i] for i in perm],
-            w[perm],
-            0.5,
-            seed=2,
-            tensor_name="k",
-            model_indices=perm,
-        )
-        np.testing.assert_allclose(out, ref, atol=1e-15)
 
 
 class TestMethodValidation:

@@ -38,6 +38,13 @@ SHAPES = ((0,), (), (1,), (2, 5), (70000,))
 CODES = ("f64", "f32", "f16", "bf16")
 #: what each source's tensors hold besides Gaussian entries
 FILLS = ("normal", "zero", "subnormal", "f32 limit", "f64 large")
+#: the largest finite value of each dtype, where a fixture's values saturate
+LIMITS = {
+    "f64": float(np.finfo(np.float64).max),
+    "f32": float(np.finfo(np.float32).max),
+    "f16": float(np.finfo(np.float16).max),
+    "bf16": 3.3895313892515355e38,  # bits 0x7F7F
+}
 EDGES = {
     "t": (0.0, 1e-300, 0.5, 1.0),
     "density": (1e-300, 0.5, 1.0),
@@ -94,12 +101,13 @@ def _write(root: Path, case) -> Path:
     kind, shapes, checkpoints, weights, params, has_base, out_code = case
     paths = []
     for i, (code, fill, seed) in enumerate(checkpoints):
+        clip = (-LIMITS[code], LIMITS[code])
         records = [
-            TensorRecord(f"t{j}", _values(seed + 100 * j, shape, fill), code)
+            TensorRecord(f"t{j}", np.clip(_values(seed + 100 * j, shape, fill), *clip), code)
             for j, shape in enumerate(shapes)
         ]
         paths.append(root / f"m{i}.st")
-        write_checkpoint(paths[-1], records, output_dtype=code, clamp_overflow=True)
+        write_checkpoint(paths[-1], records, output_dtype=code)
     models = "".join(
         f"  - path: {p}\n" + ("" if w is None else f"    weight: {w!r}\n")
         for p, w in zip(paths, weights)

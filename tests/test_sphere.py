@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geomerge.errors import AntipodalError, NonFiniteError
-from geomerge.sphere import KarcherConfig, karcher_mean, slerp
+from geomerge.sphere import ANTIPODAL_EPS, KarcherConfig, karcher_mean, slerp
 from oracles import (
     frechet_objective,
     geodesic_distance,
@@ -380,7 +380,6 @@ class TestKarcherConfig:
             {"eta": 1.5},
             {"tol": 0.0},
             {"max_iter": 0},
-            {"antipodal_eps": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -392,4 +391,4 @@ class TestKarcherConfig:
         assert cfg.eta == 1.0
         assert cfg.tol == 1e-6
         assert cfg.max_iter == 50
-        assert cfg.antipodal_eps == 1e-8
+        assert ANTIPODAL_EPS == 1e-8

@@ -41,9 +41,9 @@ class TestWriter:
     @pytest.mark.parametrize("dtype", ["f32", "bf16", "f16", "f64"])
     def test_threads_in_any_order_write_the_wrapper_bytes(self, tmp_path, dtype):
         records = _records(np.random.default_rng(1), SHAPES)
-        write_checkpoint(tmp_path / "ref.st", records, dtype, metadata={"k": "v"})
+        write_checkpoint(tmp_path / "ref.st", records, dtype)
         shapes = {r.name: r.shape for r in records}
-        with CheckpointWriter(tmp_path / "out.st", shapes, dtype, {"k": "v"}) as out:
+        with CheckpointWriter(tmp_path / "out.st", shapes, dtype) as out:
             with ThreadPoolExecutor(max_workers=3) as pool:
                 for future in [pool.submit(out.put, r.name, r.data) for r in records[::-1]]:
                     future.result()

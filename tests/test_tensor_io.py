@@ -75,9 +75,8 @@ class TestRoundTrip:
 
     def test_metadata_preserved_verbatim(self, tmp_path):
         meta = {"origin": "unit-test", "note": "x/y z"}
-        path = _write(
-            tmp_path, "a.st", [TensorRecord("a", np.ones(2))], metadata=meta
-        )
+        path = tmp_path / "a.st"
+        path.write_bytes(build_container({"a": ("F32", [2], np.ones(2, "<f4").tobytes())}, meta))
         with open_checkpoint(path) as h:
             assert h.metadata == meta
 
@@ -199,14 +198,6 @@ class TestErrors:
         recs = [TensorRecord(n, np.array([1e40], dtype=np.float64)) for n in ("late", "big")]
         with pytest.raises(DTypeOverflowError, match="^tensor 'big'"):
             write_checkpoint(tmp_path / "o.st", recs, output_dtype="f16")
-
-    def test_write_overflow_clamp(self, tmp_path):
-        rec = TensorRecord("big", np.array([1e40, -1e40, 1.0]))
-        path = tmp_path / "o.st"
-        write_checkpoint(path, [rec], output_dtype="f16", clamp_overflow=True)
-        out = read_records(path)["big"].data
-        limit = float(np.finfo(np.float16).max)
-        np.testing.assert_allclose(out, [limit, -limit, 1.0])
 
     def test_duplicate_names_rejected(self, tmp_path):
         recs = [TensorRecord("a", np.ones(1)), TensorRecord("b", np.ones(2)),

@@ -241,14 +241,10 @@ class TestMergesAgainstOracle:
         base, experts = _experts(rng, m, n, rounding=True)
         weights = list(rng.uniform(0.1, 3.0, m))
         spec = SparsifySpec(density=density, drop_rate=0.4, window=0.2, seed=5)
-        indices = [2 * i + 1 for i in range(m)]
         dropped = [
-            della_drop(d, spec, sparsify_stream(5, "blk.0", idx))
-            for d, idx in zip(_task_vectors(base, experts), indices)
+            della_drop(d, spec, sparsify_stream(5, "blk.0", i))
+            for i, d in enumerate(_task_vectors(base, experts))
         ]
         expected = _oracle_merge(base, dropped, weights, density)
-        out = merge_della(
-            base, experts, weights, spec, combine="ties", tensor_name="blk.0",
-            model_indices=indices,
-        )
+        out = merge_della(base, experts, weights, spec, combine="ties", tensor_name="blk.0")
         _assert_same_bytes(out, expected)
