@@ -248,18 +248,23 @@ def _cases() -> list[tuple[str, np.ndarray]]:
     ]
 
 
+@pytest.mark.parametrize("in_work", [False, True], ids=["bytes", "work"])
 @pytest.mark.parametrize("code", ["f64", "f32", "f16", "bf16"])
 @pytest.mark.parametrize("label,values", _cases(), ids=lambda v: v if isinstance(v, str) else "")
 @np.errstate(invalid="ignore")  # casting a signaling NaN sets the invalid flag
-def test_encode_matches_the_rewidening_oracle(label, values, code):
+def test_encode_matches_the_rewidening_oracle(label, values, code, in_work):
+    work = None
+    if in_work:  # the writer's path: buffers already used by a larger block
+        work = dtypes.Workspace()
+        dtypes.encode_array(np.full(2 * values.size + 7, 3.0), code, work)
     try:
         expected = encode_array_direct(values, code)
     except OverflowError as exc:
         with pytest.raises(DTypeOverflowError) as raised:
-            dtypes.encode_array(values, code)
+            dtypes.encode_array(values, code, work)
         assert str(raised.value) == str(exc), label
     else:
-        assert dtypes.encode_array(values, code) == expected, label
+        assert bytes(dtypes.encode_array(values, code, work)) == expected, label
 
 
 def test_encode_does_not_modify_its_input():
