@@ -268,8 +268,8 @@ def _toy_forward_layers(
     seed: int,
     layer_specs: list,
 ) -> Iterator[ActivationMatrix]:
-    """The spec's Gaussian inputs pushed through the stack, layer by layer,
-    with the bits of one :func:`toy_forward_collect` call over the whole stack.
+    """The spec's Gaussian inputs pushed through the stack, one
+    :func:`toy_forward_collect` step per layer.
 
     The spec is checked against the header (names, 2-D weights, the shapes
     along the stack) before any payload is read.  Each weight (and bias) is
@@ -305,16 +305,11 @@ def _toy_forward_layers(
     for k, (weight, bias) in enumerate(layers, start=1):
         w = _load_f64(handle, weight)
         b = None if bias is None else _load_f64(handle, bias)
-        # the first payload is read before the inputs are drawn
-        x = rng.standard_normal((samples, w.shape[0])) if below is None else below.samples
-        try:
-            inputs, layer = toy_forward_collect([w], x, nonlinearity=nonlinearity, biases=[b])
-        except (ValueError, NonFiniteError) as exc:  # a one-layer call names its layer layer_1
-            raise type(exc)(str(exc).replace("'layer_1'", f"'layer_{k}'")) from None
-        del w, b, x
-        layer.label = f"layer_{k}"
-        yield inputs if below is None else below
-        del inputs
+        if below is None:  # the first payload is read before the inputs are drawn
+            below = ActivationMatrix("layer_0", rng.standard_normal((samples, w.shape[0])))
+        layer = toy_forward_collect(k, below, w, b, nonlinearity)
+        del w, b
+        yield below
         below = layer
     yield below
 

@@ -407,6 +407,7 @@ def bootstrap_stats(
     # a row per metric, a column per draw
     table = np.empty((len(METRIC_NAMES), draws))
     threads = min(threads or usable_cpus(), draws)
+    # made here, not in each worker, where glibc's per-thread malloc arenas added 4 MiB of RSS
     buffers = [(np.empty((n, d)), np.empty((n, d))) for _ in range(threads)]
     todo = iter(range(draws))
     lock = threading.Lock()
@@ -678,38 +679,28 @@ def check_layer_shapes(
 
 
 def toy_forward_collect(
-    layer_weights: Sequence[np.ndarray],
-    inputs: np.ndarray,
+    k: int,
+    below: ActivationMatrix,
+    weight: np.ndarray,
+    bias: np.ndarray | None = None,
     nonlinearity: str = "identity",
-    biases: Sequence[np.ndarray | None] | None = None,
-) -> list[ActivationMatrix]:
-    """Propagate inputs through an affine + nonlinearity stack.
+) -> ActivationMatrix:
+    """Layer ``k`` of an affine + nonlinearity stack, made from ``below``,
+    the activations of layer ``k - 1``, and labelled ``layer_<k>``.
 
-    Weights are (d_in, d_out); layer 0 of the returned sequence is the raw
-    input, each later entry the post-nonlinearity activations.
+    The weight is (d_in, d_out) and the bias, if any, has d_out entries.
     """
     if nonlinearity not in NONLINEARITIES:
         raise ValueError(
             f"unknown nonlinearity {nonlinearity!r}; expected one of {sorted(NONLINEARITIES)}"
         )
-    fn = NONLINEARITIES[nonlinearity]
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("inputs must be an n x d0 matrix")
-    if biases is not None and len(biases) != len(layer_weights):
-        raise ValueError("biases must match layer_weights in length")
-    collected = [ActivationMatrix(label="layer_0", samples=x)]
-    for k, weight in enumerate(layer_weights, start=1):
-        w = np.asarray(weight, dtype=np.float64)
-        bias = biases[k - 1] if biases is not None else None
-        b = None if bias is None else np.asarray(bias, dtype=np.float64).reshape(-1)
-        check_layer_shapes(k, x.shape[1], w.shape, None if b is None else b.size)
-        # an overflow shows as a non-finite entry, refused by ActivationMatrix
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = x @ w
-            if b is not None:
-                z = z + b
-            x = fn(z)
-        collected.append(ActivationMatrix(label=f"layer_{k}", samples=x))
-    return collected
-
+    x = below.samples
+    w = np.asarray(weight, dtype=np.float64)
+    b = None if bias is None else np.asarray(bias, dtype=np.float64).reshape(-1)
+    check_layer_shapes(k, x.shape[1], w.shape, None if b is None else b.size)
+    # an overflow shows as a non-finite entry, refused by ActivationMatrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x @ w
+        if b is not None:
+            z = z + b
+        return ActivationMatrix(label=f"layer_{k}", samples=NONLINEARITIES[nonlinearity](z))

@@ -267,7 +267,7 @@ def merge_slerp(
     (into ``out``, if given, with ``a`` and ``b`` float64 rows normalized in
     place; else neither is modified).  ``norms``, if given, are their norms
     as :func:`norm` gives them.  Refused in this order: NaN/Inf entries, a
-    (near-)zero norm, an antipodal pair.
+    norm beyond float64's range, a (near-)zero norm, an antipodal pair.
     """
     rows = stack_rows([a, b]) if out is None else (a, b)
     out = np.empty(rows[0].size) if out is None else out
@@ -276,9 +276,12 @@ def merge_slerp(
         np.copyto(out, end)
         return out
     lengths = [norm(row) for row in rows] if norms is None else list(norms)
-    # a norm is finite when every entry is, unless it exceeds float64's range
-    if not all(map(math.isfinite, lengths)) and not all(np.isfinite(r).all() for r in rows):
-        raise NonFiniteError("cannot normalize a vector with NaN/Inf entries")
+    finite = [math.isfinite(length) for length in lengths]
+    if not all(finite):
+        if not all(np.isfinite(r).all() for r in rows):
+            raise NonFiniteError("cannot normalize a vector with NaN/Inf entries")
+        # a norm is finite when every entry is, unless it exceeds float64's range
+        raise NonFiniteError(f"source {finite.index(False)} has a norm beyond float64 range")
     if min(lengths) < DEGENERATE_NORM:
         raise DegenerateError("slerp sources must have nonzero norm")
     for row, length in zip(rows, lengths):

@@ -13,7 +13,9 @@ array per named metric, kept to pin the one-table form;
 ``covariance_spectrum_gram``, the n < d spectrum as it was with the Gram of
 every row, kept to pin the bits of input with no repeated row; and
 ``diagnose_eager``, the ``diagnose`` report as it was when every tensor of
-the input was read before the first draw, kept to pin the streamed one;
+the input was read before the first draw, kept to pin the streamed one, with
+``toy_forward_stack``, the toy forward as it was with one loop over the
+whole stack, kept to pin the one-layer step that the command calls;
 ``karcher_mean_to_max_iter``, the Gram-coefficient solver as it was before a
 stall ended the solve, kept to pin the stall exit's mean and residual; and
 ``karcher_mean_unblocked``, the solver as it was with whole-stack products
@@ -43,7 +45,12 @@ from typing import Sequence
 import numpy as np
 
 from geomerge.delta_ops import _BLOCK, SparsifySpec, _weighted_totals, stack_rows
-from geomerge.diagnostics import spectral_stats
+from geomerge.diagnostics import (
+    NONLINEARITIES,
+    ActivationMatrix,
+    check_layer_shapes,
+    spectral_stats,
+)
 from geomerge.errors import AntipodalError, DegenerateError, NonFiniteError
 from geomerge.rng import keyed_stream
 from geomerge.sphere import (
@@ -598,17 +605,54 @@ def shrinkage_ratio(sources: Sequence[np.ndarray], merged: np.ndarray) -> float:
 # -- eager diagnose (reference input path) ---------------------------------------
 
 
+def toy_forward_stack(
+    layer_weights: Sequence[np.ndarray],
+    inputs: np.ndarray,
+    nonlinearity: str = "identity",
+    biases: Sequence[np.ndarray | None] | None = None,
+) -> list[ActivationMatrix]:
+    """Propagate inputs through an affine + nonlinearity stack in one loop.
+
+    Weights are (d_in, d_out); layer 0 of the returned sequence is the raw
+    input, each later entry the post-nonlinearity activations.
+    """
+    if nonlinearity not in NONLINEARITIES:
+        raise ValueError(
+            f"unknown nonlinearity {nonlinearity!r}; expected one of {sorted(NONLINEARITIES)}"
+        )
+    fn = NONLINEARITIES[nonlinearity]
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("inputs must be an n x d0 matrix")
+    if biases is not None and len(biases) != len(layer_weights):
+        raise ValueError("biases must match layer_weights in length")
+    collected = [ActivationMatrix(label="layer_0", samples=x)]
+    for k, weight in enumerate(layer_weights, start=1):
+        w = np.asarray(weight, dtype=np.float64)
+        bias = biases[k - 1] if biases is not None else None
+        b = None if bias is None else np.asarray(bias, dtype=np.float64).reshape(-1)
+        check_layer_shapes(k, x.shape[1], w.shape, None if b is None else b.size)
+        # an overflow shows as a non-finite entry, refused by ActivationMatrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x @ w
+            if b is not None:
+                z = z + b
+            x = fn(z)
+        collected.append(ActivationMatrix(label=f"layer_{k}", samples=x))
+    return collected
+
+
 def diagnose_eager(input_path, spec_path=None, draws: int = 20, seed: int = 0):
     """The ``diagnose`` command's report as it was before it streamed: the
     whole input is read at float64 (``read_records``), a toy forward runs
-    as one ``toy_forward_collect`` call over the whole stack, and the layers
+    as one :func:`toy_forward_stack` call over the whole stack, and the layers
     go to ``diagnostics_report`` as one list.  Valid inputs only.
     """
     import re
 
     import yaml
 
-    from geomerge.diagnostics import ActivationMatrix, diagnostics_report, toy_forward_collect
+    from geomerge.diagnostics import diagnostics_report
 
     ckpt = read_records(input_path, precision="f64")
     if spec_path is None:
@@ -625,7 +669,7 @@ def diagnose_eager(input_path, spec_path=None, draws: int = 20, seed: int = 0):
         biases = [ckpt[e["bias"]].data.reshape(-1) if "bias" in e else None for e in entries]
         rng = keyed_stream(spec.get("seed", 0), "toy-forward-input", 0)
         inputs = rng.standard_normal((spec.get("samples", 256), weights[0].shape[0]))
-        layers = toy_forward_collect(
+        layers = toy_forward_stack(
             weights, inputs, nonlinearity=spec.get("nonlinearity", "identity"), biases=biases
         )
     return diagnostics_report(layers, draws=draws, seed=seed)

@@ -1,7 +1,7 @@
 """``tools/bench_pairs.py`` summarizes paired benchmark runs: each side's
-median and quartiles, the pairs the change won, and whether the claim rule
+median and quartiles, the pairs the change won, whether the claim rule
 (nine pairs in ten, and a median gap wider than the parent's quartiles)
-holds."""
+holds, and each side's failed and attempted invocations."""
 
 from __future__ import annotations
 
@@ -17,11 +17,13 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def _line(wall: float, cpu: float = 1.0, failed: int = 0, correct: bool = True) -> str:
+def _line(
+    wall: float, cpu: float = 1.0, failed: int = 0, correct: bool = True, attempted: int = 10
+) -> str:
     """A run's stdout: a readable line, then the benchmark's JSON object."""
     metrics = {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": 50.0, "setup_s": 0.25}
     result = {
-        "correct": correct, "attempted": 10, "failed": failed,
+        "correct": correct, "attempted": attempted, "failed": failed,
         "metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()},
     }
     return f"== diagnose-toy (seed 31)\n{json.dumps(result)}\n"
@@ -67,3 +69,34 @@ def test_a_failed_run_leaves_its_pair_out():
     s = bench_pairs.summarize(pairs)["wall_s"]
     assert s["pairs"] == 1 and s["wins"] == 1
     assert bench_pairs.summarize(pairs[1:])["cpu_s"] == {"pairs": 0}
+
+
+def _canned_pairs():
+    """Two pairs: parent runs of 0 of 12 and 0 of 9 failed invocations (the
+    second's checks failed, which counts one); change runs of 2 of 11 and
+    one that printed no result, which counts one of one."""
+    parse = bench_pairs.parse_result
+    parent = [parse(_line(1.0, attempted=12)), parse(_line(1.0, correct=False, attempted=9))]
+    change = [parse(_line(0.9, failed=2, correct=False, attempted=11)), parse("Traceback\n")]
+    return list(zip(parent, change))
+
+
+def test_failed_and_attempted_invocations_are_summed_over_every_pair():
+    assert bench_pairs.failures(_canned_pairs()) == {"parent": (1, 21), "change": (3, 12)}
+
+
+def test_the_summary_prints_each_sides_failed_invocations(monkeypatch, capsys, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    runs = {checkout: iter(side) for checkout, side in zip((parent, change), zip(*_canned_pairs()))}
+    monkeypatch.setattr(bench_pairs, "control", lambda: (1.0, 0.5))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: next(runs[checkout]))
+    monkeypatch.setattr(
+        "sys.argv",
+        ["bench_pairs.py", str(parent), str(change), "--workload", "diagnose-toy", "--pairs", "2"],
+    )
+    assert bench_pairs.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "  2 pairs had a failed run and are left out",
+        "  failed invocations: parent 1 of 21, change 3 of 12",
+    ]

@@ -28,7 +28,7 @@ from geomerge import cli, diagnostics
 from geomerge.cli import main
 from geomerge.rng import keyed_stream
 from geomerge.tensor_io import TensorRecord, write_checkpoint
-from oracles import bootstrap_stats_per_metric, read_records
+from oracles import bootstrap_stats_per_metric, read_records, toy_forward_stack
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -238,7 +238,7 @@ def write_reference(out: str, path: str, spec: str | None = None) -> None:
     else:
         weights = [ckpt[f"fc{k}.weight"].data for k in (1, 2)]
         inputs = keyed_stream(3, "toy-forward-input", 0).standard_normal((SAMPLES, WIDTH))
-        made = diagnostics.toy_forward_collect(weights, inputs, nonlinearity="tanh")
+        made = toy_forward_stack(weights, inputs, nonlinearity="tanh")
         layers = [(layer.label, layer.samples) for layer in made]
     report = {"draws": DRAWS, "seed": SEED, "layers": []}
     rows = io.StringIO(newline="")

@@ -23,14 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geomerge.diagnostics import (
-    ActivationMatrix,
-    bootstrap_stats,
-    participation_ratio,
-    toy_forward_collect,
-)
+from geomerge.diagnostics import ActivationMatrix, bootstrap_stats, participation_ratio
 from geomerge.errors import DTypeOverflowError, NonFiniteError
 from geomerge.tensor_io import TensorRecord, write_checkpoint
+from oracles import toy_forward_stack
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -154,7 +150,7 @@ def test_toy_forward_overflow_is_refused_without_a_warning():
     w = np.full((2, 2), 1e200)
     inputs = np.random.default_rng(0).standard_normal((3, 2))
     with pytest.raises(NonFiniteError, match=r"^layer 'layer_2': activations contain NaN/Inf$"):
-        toy_forward_collect([w, w], inputs)
+        toy_forward_stack([w, w], inputs)
 
 
 # -- participation_ratio ---------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from geomerge.diagnostics import (
     stable_rank,
     toy_forward_collect,
 )
+from geomerge.errors import NonFiniteError
 from geomerge.merge_methods import merge_karcher, merge_lerp
-from oracles import covariance_spectrum_direct, shrinkage_ratio
+from oracles import covariance_spectrum_direct, shrinkage_ratio, toy_forward_stack
 
 
 def _cov_by_hand(x: np.ndarray) -> np.ndarray:
@@ -272,7 +275,7 @@ class TestToyForward:
     def test_identity_network_passes_input_through(self):
         rng = np.random.default_rng(80)
         x = rng.standard_normal((10, 4))
-        acts = toy_forward_collect([np.eye(4)], x, nonlinearity="identity")
+        acts = toy_forward_stack([np.eye(4)], x, nonlinearity="identity")
         assert len(acts) == 2
         np.testing.assert_array_equal(acts[0].samples, x)
         np.testing.assert_array_equal(acts[1].samples, x)
@@ -281,8 +284,8 @@ class TestToyForward:
         rng = np.random.default_rng(81)
         x = rng.standard_normal((40, 6))
         w = rng.standard_normal((6, 6))
-        base = toy_forward_collect([w], x)[1]
-        scaled = toy_forward_collect([3.0 * w], x)[1]
+        base = toy_forward_stack([w], x)[1]
+        scaled = toy_forward_stack([3.0 * w], x)[1]
         np.testing.assert_allclose(
             mean_activation_variance(scaled.samples),
             9.0 * mean_activation_variance(base.samples),
@@ -292,7 +295,7 @@ class TestToyForward:
     def test_relu_kills_negative_preactivations(self):
         x = np.ones((5, 2))
         w = -np.eye(2)
-        acts = toy_forward_collect([w], x, nonlinearity="relu")
+        acts = toy_forward_stack([w], x, nonlinearity="relu")
         np.testing.assert_array_equal(acts[1].samples, np.zeros((5, 2)))
         lam = covariance_spectrum(acts[1].samples)
         assert effective_rank(lam) == 0.0
@@ -300,19 +303,49 @@ class TestToyForward:
     def test_bias_applied(self):
         x = np.zeros((4, 2))
         w = np.eye(2)
-        acts = toy_forward_collect([w], x, biases=[np.array([1.0, -2.0])])
+        acts = toy_forward_stack([w], x, biases=[np.array([1.0, -2.0])])
         np.testing.assert_array_equal(acts[1].samples, np.tile([1.0, -2.0], (4, 1)))
 
     def test_shape_mismatch_names_layer(self):
         x = np.ones((4, 3))
         with pytest.raises(ValueError, match="layer 2"):
-            toy_forward_collect([np.eye(3), np.ones((4, 2))], x)
+            toy_forward_stack([np.eye(3), np.ones((4, 2))], x)
 
     def test_tanh_bounded(self):
         rng = np.random.default_rng(82)
         x = rng.standard_normal((10, 3)) * 10
-        acts = toy_forward_collect([np.eye(3)], x, nonlinearity="tanh")
+        acts = toy_forward_stack([np.eye(3)], x, nonlinearity="tanh")
         assert np.all(np.abs(acts[1].samples) <= 1.0)
+
+
+class TestToyForwardStep:
+    """``toy_forward_collect`` makes one layer from the one below it, and
+    names that layer in its refusals."""
+
+    def test_the_step_labels_its_layer_and_keeps_the_stacks_bits(self):
+        rng = np.random.default_rng(83)
+        x, w = rng.standard_normal((6, 4)), rng.standard_normal((4, 4))
+        bias = rng.standard_normal(4)
+        stack = toy_forward_stack([w, w, w], x, nonlinearity="tanh", biases=[None, None, bias])
+        layer = toy_forward_collect(3, stack[2], w, bias, "tanh")
+        assert layer.label == "layer_3"
+        assert layer.samples.tobytes() == stack[3].samples.tobytes()
+
+    def test_an_overflow_names_the_layer_without_a_warning(self):
+        below = ActivationMatrix("layer_2", np.full((3, 2), 1e200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NonFiniteError, match=r"^layer 'layer_3': activations contain NaN/Inf$"
+            ):
+                toy_forward_collect(3, below, np.full((2, 2), 1e200))
+
+    def test_a_d_in_mismatch_names_the_layer(self):
+        below = ActivationMatrix("layer_2", np.ones((4, 3)))
+        with pytest.raises(
+            ValueError, match=r"^shape mismatch at layer 3: activations are n x 3, weight is 4x2$"
+        ):
+            toy_forward_collect(3, below, np.ones((4, 2)))
 
 
 class TestShrinkageRatio:

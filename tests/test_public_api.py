@@ -10,7 +10,9 @@ Options that no command set are gone too: each call site used one value,
 which is now a constant (the encoder and writer refuse every overflow, the
 writer writes no ``__metadata__``, the solver's antipodal threshold is
 ``sphere.ANTIPODAL_EPS``, numerical rank uses d * eps, and a drop mask is
-keyed by the expert's position).
+keyed by the expert's position).  The toy forward's library call makes one
+layer from the one below it; the loop over a whole stack is the test oracle
+``toy_forward_stack``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ RETIRED_PARAMETERS = [
     (diagnostics.numerical_rank, "rel_tol"),
     (merge_methods.merge_della, "model_indices"),
     (merge_methods.merge_dare, "model_indices"),
+    (diagnostics.toy_forward_collect, "layer_weights"),
+    (diagnostics.toy_forward_collect, "inputs"),
+    (diagnostics.toy_forward_collect, "biases"),
 ]
 
 

@@ -6,7 +6,9 @@ which adds its second term one column block at a time.  These tests pin it
 byte for byte, or by exception type and text, against
 ``oracles.slerp_direct`` (the merge as it was, with fresh unit vectors and
 whole-vector products), in the plain form and in the ``out=``/``norms=``
-form that ``run_merge`` uses.
+form that ``run_merge`` uses.  One outcome differs: finite sources whose
+norm is beyond float64's range, where the direct merge gives NaN entries,
+are refused.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def _pairs(n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         "near": (a, a + 1e-9 * b),
         "1e200": (1e200 * a, 1e200 * b),
         "1e308 entry": (one_huge, one_huge + b),
-        # norms beyond float64's range, taken as Inf, give NaN entries
+        # norms beyond float64's range: refused where slerp_direct gives NaN entries
         "1e308 entries": (huge, np.abs(huge)),
         "zero row": (a, np.zeros(n)),
         "nan row": (np.where(np.arange(n) == n // 2, np.nan, a), b),
@@ -69,6 +71,8 @@ def _pairs(n: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
 def test_merge_slerp_matches_the_direct_merge(n, t):
     for case, (a, b) in _pairs(n).items():
         want = _outcome(slerp_direct, a, b, t)
+        if case == "1e308 entries" and n > 1 and 0.0 < t < 1.0:
+            want = (NonFiniteError, "source 0 has a norm beyond float64 range")
         before = (a.tobytes(), b.tobytes())
         assert _outcome(merge_slerp, a, b, t) == want, (case, n, t)
         assert (a.tobytes(), b.tobytes()) == before, case  # the plain form modifies neither
@@ -101,6 +105,23 @@ def test_refusals_keep_their_order():
     for pair in [(nan, zero), (zero, nan), (zero, -zero), (a, zero), (zero, a)]:
         assert _outcome(merge_slerp, *pair, 0.3) == _outcome(slerp_direct, *pair, 0.3)
         assert _outcome(_in_workspace, *pair, 0.3) == _outcome(slerp_direct, *pair, 0.3)
+
+
+def test_a_norm_beyond_float64_is_refused_naming_its_source():
+    """Finite entries whose norm is Inf are refused after a NaN row and
+    before a zero row, naming the source."""
+    huge, a = np.full(4, 1e308), np.ones(4)
+    nan, zero = np.array([1.0, np.nan, 0.0, 0.0]), np.zeros(4)
+    beyond = "has a norm beyond float64 range"
+    cases = [
+        ((huge, a), (NonFiniteError, f"source 0 {beyond}")),
+        ((a, huge), (NonFiniteError, f"source 1 {beyond}")),
+        ((zero, huge), (NonFiniteError, f"source 1 {beyond}")),
+        ((huge, nan), (NonFiniteError, "cannot normalize a vector with NaN/Inf entries")),
+    ]
+    for pair, want in cases:
+        assert _outcome(merge_slerp, *pair, 0.3) == want
+        assert _outcome(_in_workspace, *pair, 0.3) == want
 
 
 def test_a_negative_zero_entry_keeps_its_sign():

@@ -10,6 +10,7 @@ pair taken then cannot show a parallel gain.  Each pair's line gives the
 control and every end-to-end metric of both sides.  The summary gives each
 metric's median and quartiles on each side, and the pairs the change won:
 every end-to-end metric is better lower, and a tie counts for neither side.
+It ends with each side's failed and attempted invocations over all pairs.
 A gain is claimed only where the change won at least nine pairs in ten and
 the medians differ by more than the distance between the parent's
 quartiles.
@@ -66,16 +67,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
 
 def parse_result(stdout: str) -> dict[str, float]:
     """The metrics of a run's last stdout line, the benchmark's JSON object,
-    plus ``failed`` (the failed invocations); a run that printed no such
-    line, or whose checks failed, counts as failed."""
+    plus ``failed`` and ``attempted`` (its invocations); a run that printed
+    no such line counts as one failed invocation of one, and a run whose
+    checks failed as failed."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"failed": 1.0}
+        return {"failed": 1.0, "attempted": 1.0}
     values = {name: result["metrics"][name]["value"] for name in METRICS}
     values["failed"] = float(result["failed"] if result["correct"] else max(result["failed"], 1))
+    values["attempted"] = float(result["attempted"])
     return values
+
+
+def failures(pairs: list[tuple[dict[str, float], dict[str, float]]]) -> dict[str, tuple[int, int]]:
+    """Each side's failed and attempted invocations, summed over all pairs,
+    the pairs :func:`summarize` leaves out too."""
+    sums = {}
+    for i, side in enumerate(("parent", "change")):
+        runs = [pair[i] for pair in pairs]
+        sums[side] = (int(sum(r["failed"] for r in runs)), int(sum(r["attempted"] for r in runs)))
+    return sums
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -157,6 +170,8 @@ def main() -> int:
     failed = sum(1 for p, c in pairs if p["failed"] or c["failed"])
     if failed:
         print(f"  {failed} pairs had a failed run and are left out")
+    print("  failed invocations: " + ", ".join(
+        f"{side} {n} of {of}" for side, (n, of) in failures(pairs).items()))
     return 0
 
 
