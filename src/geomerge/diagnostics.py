@@ -15,7 +15,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -77,34 +77,65 @@ _ROOT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
 @dataclass
-class _Resample:
-    """One bootstrap draw's rows, as :func:`covariance_spectrum` takes them.
+class _Draw:
+    """One bootstrap draw of an n < d layer, as :func:`covariance_spectrum`
+    takes it.
 
-    ``rows`` is the n x d resample, in the drawing thread's own buffer;
-    ``np.asarray`` gives it, so any function of an array takes a draw.
-    ``mean`` is its column mean, ``groups`` its sets of equal rows as
-    :func:`_distinct_rows` gives them (None for n >= d), and ``work`` a
-    second n x d buffer of the thread's.  The spectrum spends both buffers.
+    ``layer`` is the layer's n x d rows, ``gram`` the n x n Gram K of those
+    rows centred at their column mean, and ``index`` the rows the draw
+    took; ``np.asarray`` gives the resample the draw stands for.
     """
 
-    rows: np.ndarray
-    mean: np.ndarray
-    groups: tuple[np.ndarray, np.ndarray] | None
-    work: np.ndarray
+    layer: np.ndarray
+    gram: np.ndarray
+    index: np.ndarray
 
     def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
-        return np.array(self.rows, dtype=dtype, copy=copy)
+        return np.asarray(self.layer[self.index], dtype=dtype)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The k x k matrix whose eigenvalues are the nonzero ones of the
+        resample's covariance, and whose trace is the covariance's.
+
+        With c the count of each of the k rows the draw took, w = c / n,
+        a = K w and b = w^T a, the resample's centred rows have the Gram
+        K - a 1^T - 1 a^T + b (taken at those rows); scaled by
+        sqrt(c) sqrt(c)^T, the k x k matrix stands for all n rows, so
+        equal rows need no finding.  A draw of one row has w = 1, so its
+        matrix is exactly zero.
+        """
+        n = self.index.size
+        counts = np.bincount(self.index, minlength=n)
+        rows = np.flatnonzero(counts)
+        c = counts[rows].astype(np.float64)
+        w = c / n
+        g = self.gram[np.ix_(rows, rows)]
+        a = g @ w
+        g -= a[:, None]
+        g -= a
+        g += w @ a
+        g /= n - 1
+        root = np.sqrt(c)
+        g *= np.multiply.outer(root, root)
+        return g
 
 
-def _head(buffer: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The first entries of a C-contiguous ``buffer`` as an array of ``shape``
-    (None without a buffer)."""
-    if buffer is None:
-        return None
-    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
+def _centred_gram(x: np.ndarray) -> np.ndarray:
+    """The smaller Gram of x's rows centred at their column mean: C C^T
+    (n x n) for n < d, else C^T C (d x d).
+
+    Centred rows whose largest magnitude is below float64's normal range,
+    where every product of the Gram underflows, are refused.
+    """
+    centred = x - x.mean(axis=0, keepdims=True)
+    if 0.0 < max(centred.max(), -centred.min()) < _ROOT_TINY:
+        raise DTypeOverflowError("covariance below float64's normal range")
+    n, d = x.shape
+    return centred @ centred.T if n < d else centred.T @ centred
 
 
-def covariance_spectrum(samples: np.ndarray | _Resample) -> np.ndarray:
+def covariance_spectrum(samples: np.ndarray | _Draw) -> np.ndarray:
     """Descending eigenvalues of the feature covariance of row-centered data.
 
     Uses the unbiased (n-1) normalization; tiny negative eigenvalues from the
@@ -115,115 +146,32 @@ def covariance_spectrum(samples: np.ndarray | _Resample) -> np.ndarray:
     zero-padded to length d, so the rank measures (and the d * eps threshold
     of :func:`numerical_rank`) see the same spectrum either way.
 
-    A wide matrix with repeated rows (a bootstrap resample holds about
-    0.63 n distinct rows) is collapsed first: with C_u its k distinct
-    centered rows and c their counts, C C^T has the nonzero eigenvalues of
-    the k x k matrix sqrt(c) (C_u C_u^T) sqrt(c), so it costs
-    O(n d + k^2 d + k^3).  The mean is still taken over all n rows, and a
-    matrix with no repeated row keeps its bits.
-
-    A bootstrap draw comes as a :class:`_Resample`, whose mean and equal
-    rows its caller already has.  The spectrum takes them from it, centres
-    the rows in the draw's work buffer, then takes the Gram into the spent
-    resample's memory and gives the work buffer to the eigensolve, so it
-    allocates nothing of the size of the rows or the Gram; the bits are
-    those of the resample's array.
+    A bootstrap draw of an n < d layer comes as a :class:`_Draw`, whose
+    eigensolve runs on its k x k matrix, made from the layer's Gram at
+    O(k^2), for the k distinct rows it took.
     """
-    draw = samples if isinstance(samples, _Resample) else None
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("covariance_spectrum expects an n x d matrix with n >= 2")
-    # a draw's rows are those of a layer, which ActivationMatrix checked
-    if draw is None and not np.isfinite(x).all():
-        raise NonFiniteError("covariance_spectrum input contains NaN/Inf")
-    n, d = x.shape
-    # beyond float64's range the Gram or its eigenvalues turn non-finite,
-    # refused below; below it every product of the Gram underflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        if draw is None:
-            mean = x.mean(axis=0, keepdims=True)
-            groups = _distinct_rows(x) if n < d else None
-            rows = work = None
-        else:
-            mean, groups, rows, work = draw.mean, draw.groups, draw.rows, draw.work
-        # a repeated row has the entries of its first copy, so the range
-        # check sees the same largest magnitude
-        if groups is None:
-            centered = np.subtract(x, mean, out=_head(work, (n, d)))
-        else:
-            k = groups[0].size
-            centered = np.take(x, groups[0], axis=0, out=_head(work, (k, d)), mode="clip")
-            centered -= mean
-        if 0.0 < max(centered.max(), -centered.min()) < _ROOT_TINY:
-            raise DTypeOverflowError("covariance below float64's normal range")
-        if n < d:
-            k = len(centered)
-            gram = np.matmul(centered, centered.T, out=_head(rows, (k, k)))
-            gram /= n - 1
-            if groups is not None:
-                # the centred rows are spent
-                weights = np.multiply.outer(
-                    groups[1], groups[1], out=_head(work, gram.shape), dtype=np.float64
-                )
-                gram *= np.sqrt(weights, out=weights)
-        else:
-            gram = np.matmul(centered.T, centered, out=_head(rows, (d, d)))
+    if isinstance(samples, _Draw):
+        gram, d = samples.matrix, samples.layer.shape[1]
+    else:
+        x = np.asarray(samples, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] < 2:
+            raise ValueError("covariance_spectrum expects an n x d matrix with n >= 2")
+        if not np.isfinite(x).all():
+            raise NonFiniteError("covariance_spectrum input contains NaN/Inf")
+        n, d = x.shape
+        # beyond float64's range the Gram or its eigenvalues turn non-finite,
+        # refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = _centred_gram(x)
             gram /= n - 1
     if not np.isfinite(gram).all():
         raise NonFiniteError("covariance beyond float64 range")
-    eig = np.clip(_eigvalsh(gram, scratch=work), 0.0, None)[::-1]
+    eig = np.clip(_eigvalsh(gram), 0.0, None)[::-1]
     if not np.isfinite(eig).all():
         raise NonFiniteError("covariance beyond float64 range")
     spectrum = np.zeros(d)
     spectrum[: eig.size] = eig
     return spectrum
-
-
-def _key_vector(d: int) -> np.ndarray:
-    """The fixed vector of d entries that :func:`_row_keys` projects on."""
-    return keyed_stream(0, "row-key", d).standard_normal(d)
-
-
-def _row_keys(x: np.ndarray) -> np.ndarray:
-    """Each row's product with :func:`_key_vector`, summed in one order for
-    every row, so equal rows get equal keys, wherever they sit in a
-    C-contiguous matrix; a BLAS matrix-vector product can round equal rows
-    apart."""
-    return np.einsum("ij,j->i", x, _key_vector(x.shape[1]))
-
-
-def _distinct_rows(
-    x: np.ndarray, index: np.ndarray | None = None, keys: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The index of one row of each set of equal rows of ``x[index]`` (of
-    ``x`` where no index is given) and the size of each set, or None where
-    no row repeats.
-
-    Rows are sorted by :func:`_row_keys`, and neighbours whose keys tie are
-    compared entry by entry, so rows that differ are never taken as one.
-    Equal rows that a tied row of other entries sorts apart stay apart,
-    which costs time, not accuracy.  A row's key does not depend on its
-    place, so ``keys``, the keys of a C-contiguous ``x`` where the caller
-    has them, serve every index; and two rows of ``x[index]`` that are
-    copies of one row of ``x`` are equal without a comparison.
-    """
-    rows = np.arange(x.shape[0]) if index is None else index
-    keys = (_row_keys(x) if keys is None else keys)[rows]
-    n = rows.size
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    tied = np.flatnonzero(keys[1:] == keys[:-1])
-    a, b = rows[order[tied]], rows[order[tied + 1]]
-    equal = a == b
-    other = np.flatnonzero(~equal)
-    equal[other] = (x[a[other]] == x[b[other]]).all(axis=1)
-    repeats = tied[equal]
-    if repeats.size == 0:
-        return None
-    first = np.ones(n, dtype=bool)
-    first[repeats + 1] = False
-    starts = np.flatnonzero(first)
-    return order[starts], np.diff(starts, append=n)
 
 
 def mean_activation_variance(samples: np.ndarray) -> float:
@@ -364,14 +312,6 @@ class DiagnosticsReport:
         return rows
 
 
-#: The ufunc buffer size, in elements, on a thread that draws.  A ufunc
-#: with a broadcast operand (a row minus the mean) takes a buffer of numpy's
-#: default 8192 elements per call; a smaller one keeps each thread's
-#: temporaries far below a resample, so the peak does not follow how the
-#: threads interleave.  No result changes with it.
-_UFUNC_BUFSIZE = 1024
-
-
 def bootstrap_stats(
     activations: ActivationMatrix, draws: int, seed: int, threads: int | None = None
 ) -> LayerDiagnostics:
@@ -385,14 +325,19 @@ def bootstrap_stats(
     Called on its own, or where the BLAS's thread-count calls are not found,
     the bits follow the BLAS thread count in force.
 
+    For n < d the layer is centred at its column mean once, and its n x n
+    Gram K taken once, at O(n^2 d).  A draw then builds its k x k matrix
+    from K and the count of each row it took, at O(k^2), and eigensolves
+    it at O(k^3); its mean variance is that matrix's trace over d.  For
+    n >= d a draw takes :func:`spectral_stats` of its gathered resample.
+
     The draws are shared out between the calling thread and up to
     ``threads - 1`` worker threads (default: one thread per CPU; at most
     one per draw), which are joined before this returns.  Draw ``k`` fills
     column ``k`` of the table, so the bits do not depend on the thread
-    count.  Each thread draws into two n x d buffers of its own, made
-    before the first draw: the resample and the rows the spectrum centres.
-    Where draws fail, the error of the lowest failing draw is raised, as a
-    serial loop would, and the other threads stop at their next draw.
+    count.  Where draws fail, the error of the lowest failing draw is
+    raised, as a serial loop would, and the other threads stop at their
+    next draw.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -401,57 +346,49 @@ def bootstrap_stats(
     x = activations.samples
     n, d = x.shape
     label = activations.label
-    # a row's key does not depend on where it sits in a C-contiguous
-    # matrix, so these serve every draw
-    keys = _row_keys(np.ascontiguousarray(x)) if n < d else None
     # a row per metric, a column per draw
     table = np.empty((len(METRIC_NAMES), draws))
     threads = min(threads or usable_cpus(), draws)
-    # made here, not in each worker, where glibc's per-thread malloc arenas added 4 MiB of RSS
-    buffers = [(np.empty((n, d)), np.empty((n, d))) for _ in range(threads)]
     todo = iter(range(draws))
     lock = threading.Lock()
     stop = threading.Event()
     failed: dict[int, Exception] = {}
 
-    def run(rows: np.ndarray, work: np.ndarray) -> None:
+    def run(gram: np.ndarray | None) -> None:
         # a statistic beyond float64's range is refused below, with no
         # overflow warning; the error state is each thread's own
         with np.errstate(over="ignore", invalid="ignore"):
-            before = np.setbufsize(_UFUNC_BUFSIZE)
-            try:
-                while True:
+            while True:
+                with lock:
+                    k = None if stop.is_set() else next(todo, None)
+                if k is None:
+                    return
+                try:
+                    index = keyed_stream(seed, f"bootstrap:{label}", k).integers(0, n, size=n)
+                    table[:, k] = astuple(_draw_stats(x, gram, index))
+                except Exception as exc:
                     with lock:
-                        k = None if stop.is_set() else next(todo, None)
-                    if k is None:
-                        return
-                    try:
-                        index = keyed_stream(seed, f"bootstrap:{label}", k).integers(0, n, size=n)
-                        table[:, k] = astuple(_draw_stats(x, keys, index, rows, work))
-                    except Exception as exc:
-                        with lock:
-                            failed[k] = exc
-                        stop.set()
-                        return
-            finally:
-                np.setbufsize(before)
+                        failed[k] = exc
+                    stop.set()
+                    return
 
     workers: list[threading.Thread] = []
-    try:
-        for rows, work in buffers[1:]:
-            worker = threading.Thread(target=run, args=(rows, work), name=f"bootstrap-{label}")
-            worker.start()
-            workers.append(worker)
-        run(*buffers[0])
-    finally:
-        stop.set()
-        for worker in workers:
-            worker.join()
     metrics = {}
     # a covariance outside float64's range, or a statistic beyond it, is
     # refused with the layer's name, and no overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            gram = _centred_gram(x) if n < d else None
+            try:
+                for _ in range(threads - 1):
+                    worker = threading.Thread(target=run, args=(gram,), name=f"bootstrap-{label}")
+                    worker.start()
+                    workers.append(worker)
+                run(gram)
+            finally:
+                stop.set()
+                for worker in workers:
+                    worker.join()
             if failed:
                 raise failed[min(failed)]
             for metric, vals in zip(METRIC_NAMES, table):
@@ -464,31 +401,15 @@ def bootstrap_stats(
     return LayerDiagnostics(label=label, samples=n, features=d, metrics=metrics)
 
 
-def _draw_stats(
-    x: np.ndarray, keys: np.ndarray | None, index: np.ndarray, rows: np.ndarray, work: np.ndarray
-) -> SpectralStats:
-    """``spectral_stats(x[index])``, with its bits, in the n x d buffers
-    ``rows`` and ``work``.
-
-    The resample is gathered into ``rows``, and its equal rows are found
-    from ``keys``, the keys of x's rows (None for n >= d).  Its column mean
-    serves both the variance and the spectrum.  The variance is taken
-    first, in ``work``, in the steps of numpy's ``var(axis=0, ddof=1)``:
-    subtract, square, sum over the rows, divide by n - 1.  The spectrum
-    then spends both buffers.
-    """
-    n = index.size
-    # mode "clip" (the index is in range) gathers straight into rows;
-    # the default mode gathers into a temporary first
-    resample = np.take(x, index, axis=0, out=rows, mode="clip")
-    mean = resample.mean(axis=0, keepdims=True)
-    squares = np.subtract(resample, mean, out=work)
-    squares *= squares
-    variance = squares.sum(axis=0)
-    variance /= n - 1
-    groups = None if keys is None else _distinct_rows(x, index, keys)
-    lam = covariance_spectrum(_Resample(resample, mean, groups, work))
-    return _summaries(float(variance.mean()), lam)
+def _draw_stats(x: np.ndarray, gram: np.ndarray | None, index: np.ndarray) -> SpectralStats:
+    """The summaries of the draw of ``x``'s rows at ``index``: from the
+    layer's centred Gram ``gram`` for n < d, else ``spectral_stats`` of the
+    resample."""
+    if gram is None:
+        return spectral_stats(x[index])
+    draw = _Draw(x, gram, index)
+    lam = covariance_spectrum(draw)
+    return _summaries(float(np.trace(draw.matrix)) / x.shape[1], lam)
 
 
 def _mean_std(vals: np.ndarray) -> tuple[float, float]:
@@ -514,7 +435,9 @@ def diagnostics_report(
     :func:`_one_blas_thread`.  A layer's draws run on ``threads`` threads
     (default: one per CPU this process may run on), which are joined
     before the next layer is taken; the report's bits do not depend on
-    the count.
+    the count.  Besides the layer, a layer with fewer samples than features
+    holds one n x n Gram while its draws run, and each draw a k x k matrix
+    (k its distinct rows); the threads keep no buffer of the layer's size.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -587,7 +510,7 @@ def _lapack_dsyevd() -> Callable[..., None] | None:
     return dsyevd
 
 
-def _eigvalsh(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh(a)``, with its bits, through a call that lets go
     of the GIL, so that eigensolves on several threads overlap.
 
@@ -596,19 +519,12 @@ def _eigvalsh(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     Fortran-order copy, with the workspace its size query asks for.  Where
     the routine is not found, or it reports a failure, ``eigvalsh`` itself
     runs (and raises its own error).
-
-    Given ``scratch``, a float64 buffer the caller is done with, a
-    C-contiguous ``a`` equal to its transpose (its own Fortran-order copy)
-    is solved in its own memory, which it loses, and the workspace comes
-    from ``scratch`` where it fits.  A failure there raises the error
-    ``eigvalsh`` raises for it.
     """
     dsyevd = _lapack_dsyevd()
     if dsyevd is None:
         return np.linalg.eigvalsh(a)
     n = a.shape[0]
-    in_place = scratch is not None and a.flags.c_contiguous and np.array_equal(a, a.T)
-    matrix = a if in_place else np.array(a, dtype=np.float64, order="F")
+    matrix = np.array(a, dtype=np.float64, order="F")
     w = np.empty(n)
     info = ctypes.c_int64(0)
 
@@ -623,14 +539,8 @@ def _eigvalsh(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     if call(sizes[:1], -1, sizes[1:].view(np.int64), -1) != 0:
         return np.linalg.eigvalsh(a)
     lwork, liwork = int(sizes[0]), int(sizes[1:].view(np.int64)[0])
-    if in_place and lwork + liwork <= scratch.size:
-        space = scratch.reshape(-1)
-    else:
-        space = np.empty(lwork + liwork)
-    if call(space[:lwork], lwork, space[lwork : lwork + liwork].view(np.int64), liwork) == 0:
+    if call(np.empty(lwork), lwork, np.empty(liwork, dtype=np.int64), liwork) == 0:
         return w
-    if in_place:  # a is spent
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return np.linalg.eigvalsh(a)
 
 

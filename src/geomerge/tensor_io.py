@@ -152,6 +152,12 @@ class CheckpointHandle:
         metadata: dict[str, str] = {}
         entries: dict[str, _Entry] = {}
         for name, spec in header.items():
+            # a JSON escape such as \ud800 decodes to a lone surrogate,
+            # which no UTF-8 name holds
+            if any("\ud800" <= ch <= "\udfff" for ch in name):
+                raise ContainerError(
+                    f"malformed container {self.path}: tensor name {name!r} is not valid Unicode"
+                )
             if name == "__metadata__":
                 if not isinstance(spec, dict) or not all(
                     isinstance(k, str) and isinstance(v, str) for k, v in spec.items()
@@ -467,7 +473,12 @@ class CheckpointWriter:
             self._written.add(name)
 
     def commit(self) -> None:
-        """Sync the file and rename it over the output path."""
+        """Sync the file, rename it over the output path, and sync the
+        output's directory.
+
+        A failed directory sync raises ``OSError`` naming the output path,
+        which by then holds the new file.
+        """
         try:
             missing = sorted(set(self._spans) - self._written)
             if missing:
@@ -479,6 +490,16 @@ class CheckpointWriter:
         except BaseException:
             self.abort()
             raise
+        # without this sync a crash can lose the rename; the new file is in
+        # place whether or not it succeeds
+        try:
+            fd = os.open(self.path.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise OSError(exc.errno, f"{exc.strerror} (syncing its directory)", str(self.path))
 
     def abort(self) -> None:
         """Close and delete the temporary file."""

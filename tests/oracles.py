@@ -9,9 +9,13 @@ four ``delta_ops`` kernels as they were with boolean-mask scatters, kept to
 pin the branch-free ones byte for byte; ``decode_buffer_direct``, the
 allocating payload decode, kept to pin the one that decodes in place; and
 ``bootstrap_stats_per_metric``, the bootstrap summary as it was with one
-array per named metric, kept to pin the one-table form;
-``covariance_spectrum_gram``, the n < d spectrum as it was with the Gram of
-every row, kept to pin the bits of input with no repeated row; and
+array per named metric and each draw's ``spectral_stats``, kept to pin the
+one-table form and the n >= d draws; ``gram_draws`` and
+``bootstrap_stats_from_gram``, the n < d draws from one centred Gram of the
+layer in plain numpy, kept to pin the package's bits, with
+``assert_draws_near_spectral_stats`` holding them to ``spectral_stats``;
+``covariance_spectrum_gram``, the n < d spectrum of a plain matrix as the
+Gram of every centred row, kept to pin its bits; and
 ``diagnose_eager``, the ``diagnose`` report as it was when every tensor of
 the input was read before the first draw, kept to pin the streamed one, with
 ``toy_forward_stack``, the toy forward as it was with one loop over the
@@ -48,8 +52,13 @@ from geomerge.delta_ops import _BLOCK, SparsifySpec, _weighted_totals, stack_row
 from geomerge.diagnostics import (
     NONLINEARITIES,
     ActivationMatrix,
+    SpectralStats,
     check_layer_shapes,
+    effective_rank,
+    numerical_rank,
+    participation_ratio,
     spectral_stats,
+    stable_rank,
 )
 from geomerge.errors import AntipodalError, DegenerateError, NonFiniteError
 from geomerge.rng import keyed_stream
@@ -560,14 +569,22 @@ def bootstrap_stats_per_metric(
 
     The package's ``bootstrap_stats`` as it was before its draws went into
     one table: each draw's five summaries go through a dict into one array
-    per metric, ``num_rank`` as a float.
+    per metric, ``num_rank`` as a float.  For n >= d its bits are still the
+    package's; for n < d see :func:`bootstrap_stats_from_gram`.
     """
-    names = ("mean_variance", "eff_rank", "stable_rank", "participation_ratio", "num_rank")
     n = samples.shape[0]
-    values = {metric: np.empty(draws) for metric in names}
-    for k in range(draws):
-        rng = keyed_stream(seed, f"bootstrap:{label}", k)
-        stats = spectral_stats(samples[rng.integers(0, n, size=n)])
+    return _per_metric_summary(
+        spectral_stats(samples[keyed_stream(seed, f"bootstrap:{label}", k).integers(0, n, size=n)])
+        for k in range(draws)
+    )
+
+
+def _per_metric_summary(draws) -> dict[str, dict[str, float]]:
+    """The unscaled mean and std of each metric over ``draws``, an iterable of
+    ``SpectralStats``, gathered into one array per metric."""
+    names = ("mean_variance", "eff_rank", "stable_rank", "participation_ratio", "num_rank")
+    columns: dict[str, list[float]] = {metric: [] for metric in names}
+    for stats in draws:
         as_dict = {
             "mean_variance": stats.mean_variance,
             "eff_rank": stats.eff_rank,
@@ -576,13 +593,89 @@ def bootstrap_stats_per_metric(
             "num_rank": float(stats.num_rank),
         }
         for metric in names:
-            values[metric][k] = as_dict[metric]
+            columns[metric].append(as_dict[metric])
     metrics = {}
     for metric in names:
-        vals = values[metric]
-        std = float(np.std(vals, ddof=1)) if draws > 1 else 0.0
+        vals = np.array(columns[metric])
+        std = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
         metrics[metric] = {"mean": float(vals.mean()), "std": std}
     return metrics
+
+
+def gram_draws(
+    samples: np.ndarray, label: str, draws: int, seed: int
+) -> list[tuple[np.ndarray, SpectralStats]]:
+    """Each bootstrap draw of an n < d layer as (its row index, its five
+    summaries), taken from the layer's centred n x n Gram.
+
+    The layer is centred at its column mean and K = C C^T taken once.  A
+    draw with row counts c (its k rows with c > 0) has w = c / n, a = K w,
+    b = w^T a and the k x k matrix
+    G = (K - a 1^T - 1 a^T + b) / (n - 1) * sqrt(c) sqrt(c)^T: its
+    eigenvalues, zero-padded to d, are the spectrum, and trace(G) / d the
+    mean variance.  Finite layers within float64's range only.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    n, d = x.shape
+    assert n < d, "the Gram route is the n < d one"
+    centred = x - x.mean(axis=0, keepdims=True)
+    gram = centred @ centred.T
+    out = []
+    for k in range(draws):
+        index = keyed_stream(seed, f"bootstrap:{label}", k).integers(0, n, size=n)
+        counts = np.bincount(index, minlength=n)
+        rows = np.flatnonzero(counts)
+        c = counts[rows].astype(np.float64)
+        w = c / n
+        a = gram[np.ix_(rows, rows)] @ w
+        b = w @ a
+        g = (gram[np.ix_(rows, rows)] - a[:, None] - a[None, :] + b) / (n - 1)
+        g = g * np.outer(np.sqrt(c), np.sqrt(c))
+        lam = np.zeros(d)
+        lam[: rows.size] = np.clip(np.linalg.eigvalsh(g), 0.0, None)[::-1]
+        stats = SpectralStats(
+            mean_variance=float(np.trace(g)) / d,
+            eff_rank=effective_rank(lam),
+            stable_rank=stable_rank(lam),
+            participation_ratio=participation_ratio(lam),
+            num_rank=numerical_rank(lam),
+        )
+        out.append((index, stats))
+    return out
+
+
+def bootstrap_stats_from_gram(
+    samples: np.ndarray, label: str, draws: int, seed: int
+) -> dict[str, dict[str, float]]:
+    """Each metric's bootstrap mean and std over the :func:`gram_draws` of an
+    n < d layer, unscaled, so its bits are the package's at unit scale."""
+    return _per_metric_summary(stats for _, stats in gram_draws(samples, label, draws, seed))
+
+
+def assert_draws_near_spectral_stats(samples: np.ndarray, label: str, draws: int, seed: int):
+    """Each :func:`gram_draws` draw within rtol 1e-12 of ``spectral_stats`` of
+    its gathered resample, with the same numerical rank.
+
+    A resample whose rows are all equal has no spread, and both routes give
+    rounding: its mean variance is held to 1e-14 of the layer's, and its
+    rank measures, which measure that rounding, are not compared.  A draw
+    of one row of the layer is exactly zero.
+    """
+    floor = 1e-14 * float(np.var(samples, axis=0, ddof=1).mean())
+    for k, (index, got) in enumerate(gram_draws(samples, label, draws, seed)):
+        if np.unique(index).size == 1:
+            assert got == SpectralStats(0.0, 0.0, 0.0, 0.0, 0), k
+            continue
+        if np.unique(samples[index], axis=0).shape[0] == 1:
+            assert got.mean_variance <= floor, k
+            continue
+        want = spectral_stats(samples[index])
+        assert got.num_rank == want.num_rank, k
+        for metric in ("mean_variance", "eff_rank", "stable_rank", "participation_ratio"):
+            np.testing.assert_allclose(
+                getattr(got, metric), getattr(want, metric), rtol=1e-12, atol=0.0,
+                err_msg=f"draw {k}: {metric}",
+            )
 
 
 # -- whole-container read and norm-shrinkage ratio (test helpers) ---------------

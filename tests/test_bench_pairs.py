@@ -100,3 +100,57 @@ def test_the_summary_prints_each_sides_failed_invocations(monkeypatch, capsys, t
         "  2 pairs had a failed run and are left out",
         "  failed invocations: parent 1 of 21, change 3 of 12",
     ]
+
+
+# -- verdicts against the bounds ---------------------------------------------------------
+
+
+def test_the_bounds_are_read_from_the_benchmark_file():
+    declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    assert bench_pairs.bounds() == {m["name"]: m["bound"] for m in declared}
+    assert set(bench_pairs.bounds()) == set(bench_pairs.METRICS)
+
+
+@pytest.mark.parametrize(
+    "parent,change,want",
+    [
+        # change median 1.30 against 1.00: worse by more than 0.25
+        ([1.0, 1.01, 0.99, 1.0, 1.02], [1.3, 1.31, 1.29, 1.3, 1.32], "REGRESSION"),
+        # worse by 0.20, inside the bound, on a tight parent
+        ([1.0, 1.01, 0.99, 1.0, 1.02], [1.2, 1.21, 1.19, 1.2, 1.22], "ok"),
+        # a wide parent (quartiles 0.70-1.30 around 1.00) the change overlaps
+        ([0.6, 0.7, 1.0, 1.3, 1.4], [0.9, 1.0, 1.1, 1.0, 0.95], "UNRESOLVED"),
+        # the same wide parent, every change run below every parent run
+        ([0.6, 0.7, 1.0, 1.3, 1.4], [0.3, 0.35, 0.4, 0.45, 0.5], "ok"),
+        # a worse median is a regression even where the parent is wide
+        ([0.6, 0.7, 1.0, 1.3, 1.4], [1.3, 1.4, 1.5, 1.6, 1.7], "REGRESSION"),
+    ],
+)
+def test_each_metric_gets_a_verdict_against_its_bound(parent, change, want):
+    assert bench_pairs.verdict(parent, change, 0.25) == want
+    s = bench_pairs.summarize(_pairs(parent, change), {name: 0.25 for name in bench_pairs.METRICS})
+    assert s["wall_s"]["verdict"] == want
+    assert s["cpu_s"]["verdict"] == "ok"  # 1.0 on both sides
+
+
+def test_the_verdict_follows_each_metrics_own_bound():
+    parent, change = [1.0] * 4, [1.2] * 4
+    assert bench_pairs.verdict(parent, change, 0.25) == "ok"
+    assert bench_pairs.verdict(parent, change, 0.15) == "REGRESSION"
+
+
+def test_the_summary_prints_each_metrics_verdict(monkeypatch, capsys, tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    sides = {parent: iter([bench_pairs.parse_result(_line(1.0))] * 2),
+             change: iter([bench_pairs.parse_result(_line(1.5))] * 2)}
+    monkeypatch.setattr(bench_pairs, "control", lambda: (1.0, 0.5))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, *args: next(sides[checkout]))
+    monkeypatch.setattr(
+        "sys.argv",
+        ["bench_pairs.py", str(parent), str(change), "--workload", "diagnose-toy", "--pairs", "2"],
+    )
+    assert bench_pairs.main() == 0
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ") and line.split()[0] in bench_pairs.METRICS}
+    assert rows["wall_s"].endswith("  REGRESSION")
+    assert all(rows[name].endswith("  ok") for name in ("cpu_s", "peak_rss_mb", "setup_s"))

@@ -28,7 +28,12 @@ from geomerge import cli, diagnostics
 from geomerge.cli import main
 from geomerge.rng import keyed_stream
 from geomerge.tensor_io import TensorRecord, write_checkpoint
-from oracles import bootstrap_stats_per_metric, read_records, toy_forward_stack
+from oracles import (
+    bootstrap_stats_from_gram,
+    bootstrap_stats_per_metric,
+    read_records,
+    toy_forward_stack,
+)
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -230,8 +235,9 @@ _REFERENCE = (
 def write_reference(out: str, path: str, spec: str | None = None) -> None:
     """The report and CSV of ``diagnose`` on an input of :func:`_activations`,
     or of :func:`_toy_inputs` at ``WIDTH`` and ``SAMPLES`` when ``spec`` is
-    given, built from the per-metric oracle, which takes no BLAS pin: under
-    ``OPENBLAS_NUM_THREADS=1`` these are the one-thread bits."""
+    given, built from the per-metric oracle (n >= d) and the Gram oracle
+    (n < d), which take no BLAS pin: under ``OPENBLAS_NUM_THREADS=1`` these
+    are the one-thread bits."""
     ckpt = read_records(path, precision="f64")
     if spec is None:
         layers = [(name, ckpt[name].data) for name in ckpt]
@@ -245,7 +251,9 @@ def write_reference(out: str, path: str, spec: str | None = None) -> None:
     writer = csv.writer(rows)
     writer.writerow(["layer", "metric", "mean", "std"])
     for label, samples in layers:
-        metrics = bootstrap_stats_per_metric(samples, label, DRAWS, SEED)
+        wide = samples.shape[0] < samples.shape[1]
+        oracle = bootstrap_stats_from_gram if wide else bootstrap_stats_per_metric
+        metrics = oracle(samples, label, DRAWS, SEED)
         report["layers"].append(
             {"layer": label, "samples": samples.shape[0], "features": samples.shape[1],
              "metrics": metrics}
@@ -260,7 +268,9 @@ def write_reference(out: str, path: str, spec: str | None = None) -> None:
 def test_report_bytes_do_not_follow_the_blas_thread_count(tmp_path):
     cases = {
         "toy": _toy_inputs(tmp_path, WIDTH, SAMPLES),
-        "acts": [_activations(tmp_path, [(SAMPLES, WIDTH), (SAMPLES, 100)])],
+        "acts": [
+            _activations(tmp_path, [(SAMPLES, WIDTH), (SAMPLES, 100), (SAMPLES, 2 * WIDTH)])
+        ],
     }
     for case, args in cases.items():
         reference = str(tmp_path / f"{case}-reference")

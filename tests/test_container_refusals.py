@@ -70,6 +70,10 @@ CASES = {
         _container({**_one(), "v": _one()["w"]}, 4),
         "buffers leave a gap or overlap at byte 0",
     ),
+    "name is a lone surrogate": (
+        _container({"w\ud800": _one()["w"]}, 4),
+        "tensor name 'w\\ud800' is not valid Unicode",
+    ),
 }
 
 

@@ -5,12 +5,13 @@ bits of one.
 and ``--threads`` - 1 workers; draw k fills column k of the table, so the
 report and CSV bytes do not depend on the thread count, nor on the BLAS
 thread setting.  Where draws fail, the refusal is the one the serial loop
-gives.  Each draw gathers its resample into its thread's buffer, finds the
-resample's equal rows from the layer's row keys and its index, and takes
-its variance with the mean the spectrum takes; each step keeps the bits of
-``spectral_stats`` on the gathered resample.  The eigensolve is LAPACK's
-dsyevd called through ctypes, with the bits of ``np.linalg.eigvalsh``,
-which it falls back to where the routine is not found or fails.
+gives.  For n < d the layer's centred Gram is taken once, and each draw
+passes it with its row index to ``covariance_spectrum``: the draw keeps the
+bits of ``oracles.gram_draws`` and stays near ``spectral_stats`` of its
+gathered resample.  For n >= d a draw is ``spectral_stats`` of that
+resample, bit for bit.  The eigensolve is LAPACK's dsyevd called through
+ctypes, with the bits of ``np.linalg.eigvalsh``, which it falls back to
+where the routine is not found or fails.
 """
 
 from __future__ import annotations
@@ -32,17 +33,15 @@ from geomerge import diagnostics, tensor_io
 from geomerge.cli import main
 from geomerge.diagnostics import (
     ActivationMatrix,
-    _distinct_rows,
+    _centred_gram,
     _draw_stats,
     _eigvalsh,
-    _key_vector,
-    _row_keys,
     diagnostics_report,
     spectral_stats,
 )
 from geomerge.errors import DTypeOverflowError, NonFiniteError
 from geomerge.rng import keyed_stream
-from oracles import read_records
+from oracles import gram_draws, read_records
 from test_blas_pin import (
     DRAWS,
     SAMPLES,
@@ -86,7 +85,9 @@ _DIAGNOSE_THREADS = (
 def test_report_bytes_do_not_follow_the_thread_count(tmp_path):
     cases = {
         "toy": _toy_inputs(tmp_path, WIDTH, SAMPLES),
-        "acts": [_activations(tmp_path, [(SAMPLES, WIDTH), (SAMPLES, 100)])],
+        "acts": [
+            _activations(tmp_path, [(SAMPLES, WIDTH), (SAMPLES, 100), (SAMPLES, 2 * WIDTH)])
+        ],
     }
     for case, args in cases.items():
         reference = str(tmp_path / f"{case}-reference")
@@ -101,15 +102,13 @@ def test_report_bytes_do_not_follow_the_thread_count(tmp_path):
 
 
 def _layers(rng: np.random.Generator) -> list[ActivationMatrix]:
-    """A wide layer, a tall one, and a wide one whose rows repeat and tie."""
+    """A wide layer, a tall one, and a wide one whose rows repeat."""
     wide = np.tanh(rng.standard_normal((24, 40)))
     tall = rng.standard_normal((30, 6)) ** 3
-    tied = np.tanh(rng.standard_normal((8, 10)))
-    key = _key_vector(10)
-    tied[0], tied[1] = 0.0, 0.0
-    tied[0, 0], tied[1, 1] = key[1], key[0]  # rows that differ, with equal keys
-    tied[5] = tied[7]  # equal rows at two places of the layer
-    return [ActivationMatrix(f"layer_{k}", x) for k, x in enumerate((wide, tall, tied))]
+    repeated = np.tanh(rng.standard_normal((8, 10)))
+    repeated[0, 1:] = repeated[1, 1:] = 0.0
+    repeated[5] = repeated[7]  # equal rows at two places of the layer
+    return [ActivationMatrix(f"layer_{k}", x) for k, x in enumerate((wide, tall, repeated))]
 
 
 def test_many_threads_on_a_short_switch_interval_keep_the_bits():
@@ -142,7 +141,7 @@ def test_workers_are_joined_before_the_next_layer_is_taken():
     assert seen == [before] * 3
 
 
-# -- one draw, with the bits of spectral_stats ---------------------------------------------
+# -- one draw: the Gram oracle's bits for n < d, spectral_stats' for n >= d ------------
 
 
 def _outcome(stats):
@@ -156,49 +155,70 @@ def _outcome(stats):
 
 @pytest.mark.parametrize("shape", [(24, 40), (40, 24), (9, 9), (2, 3)])
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e100, 1e160])
-def test_a_draw_keeps_the_bits_of_spectral_stats(shape, scale):
+def test_a_draw_keeps_the_bits_of_its_oracle(shape, scale):
     rng = np.random.default_rng(shape[0] * shape[1])
     x = np.tanh(rng.standard_normal(shape)) * scale
     n, d = shape
-    keys = _row_keys(x) if n < d else None
-    rows, work = np.empty(shape), np.empty(shape)
-    for k in range(5):
-        index = _index("layer_1", k, n)
-        got = _outcome(lambda: _draw_stats(x, keys, index, rows, work))
-        assert got == _outcome(lambda: spectral_stats(x[index])), k
+    if n >= d:
+        for k in range(5):
+            index = _index("layer_1", k, n)
+            got = _outcome(lambda: _draw_stats(x, None, index))
+            assert got == _outcome(lambda: spectral_stats(x[index])), k
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _centred_gram(x)
+    if scale > 1e150:
+        # the layer's Gram overflows, so every draw is refused, even one of
+        # a single row, whose resample spectral_stats takes as all zero
+        for k in range(5):
+            got = _outcome(lambda: _draw_stats(x, gram, _index("layer_1", k, n)))
+            assert got == (NonFiniteError, "covariance beyond float64 range"), k
+        return
+    for k, (index, want) in enumerate(gram_draws(x, "layer_1", 5, SEED)):
+        np.testing.assert_array_equal(index, _index("layer_1", k, n))
+        got = _draw_stats(x, gram, index)
+        assert json.dumps(astuple(got)) == json.dumps(astuple(want)), k
+        near = spectral_stats(x[index])
+        assert got.num_rank == near.num_rank
+        np.testing.assert_allclose(astuple(got)[:4], astuple(near)[:4], rtol=1e-12, atol=0.0)
 
 
-def test_each_draw_passes_the_groups_of_its_resample(monkeypatch):
-    layer = _layers(np.random.default_rng(3))[2]
-    n = layer.samples.shape[0]
-    seen = []
-    real = diagnostics.covariance_spectrum
+def test_each_draw_passes_the_layers_one_gram_and_its_rows(monkeypatch):
+    layers = _layers(np.random.default_rng(3))
+    seen, grams = [], []
+    real_spectrum, real_gram = diagnostics.covariance_spectrum, diagnostics._centred_gram
 
-    def spy(samples):
-        # copied now: the spectrum spends the draw's buffers
-        seen.append((np.array(samples), samples.groups))
-        return real(samples)
+    def spectrum_spy(samples):
+        seen.append(samples)
+        return real_spectrum(samples)
 
-    monkeypatch.setattr(diagnostics, "covariance_spectrum", spy)
-    diagnostics_report([layer], draws=12, seed=SEED, threads=3)
-    assert len(seen) == 12
-    indices = {layer.samples[i].tobytes(): i for i in (_index("layer_2", k, n) for k in range(12))}
-    ties = 0
-    for resample, groups in seen:
-        index = indices[resample.tobytes()]
-        want = _distinct_rows(resample)
-        if want is None:
-            assert groups is None
-            continue
-        assert groups is not None
-        for got_part, want_part in zip(groups, want):
-            np.testing.assert_array_equal(got_part, want_part)
-        # rows that differ are never taken as one
-        for first, count in zip(*groups):
-            assert count <= (resample == resample[first]).all(axis=1).sum()
-        # rows 0 and 1 differ but their keys tie; rows 5 and 7 are equal
-        ties += {0, 1} <= set(index) or {5, 7} <= set(index)
-    assert ties > 0
+    def gram_spy(x):
+        grams.append(real_gram(x))
+        return grams[-1]
+
+    monkeypatch.setattr(diagnostics, "covariance_spectrum", spectrum_spy)
+    monkeypatch.setattr(diagnostics, "_centred_gram", gram_spy)
+    diagnostics_report(layers, draws=12, seed=SEED, threads=3)
+    # one Gram for each n < d layer; the tall layer's draws take
+    # spectral_stats, which centres each resample
+    assert [g.shape for g in grams if g.shape != (6, 6)] == [(24, 24), (8, 8)]
+    assert len(grams) == 2 + 12
+    assert len(seen) == 36
+    by_layer = {0: [], 1: [], 2: []}
+    for samples in seen:
+        rows = np.asarray(samples)
+        k = next(k for k, layer in enumerate(layers) if rows.shape == layer.samples.shape)
+        by_layer[k].append(samples)
+    assert all(type(s) is np.ndarray for s in by_layer[1])
+    for k in (0, 2):
+        draws = by_layer[k]
+        n = layers[k].samples.shape[0]
+        assert len(draws) == 12
+        assert {id(d.gram) for d in draws} == {id(next(g for g in grams if len(g) == n))}
+        indices = sorted(d.index.tolist() for d in draws)
+        assert indices == sorted(_index(f"layer_{k}", j, n).tolist() for j in range(12))
+        for draw in draws:
+            np.testing.assert_array_equal(np.asarray(draw), layers[k].samples[draw.index])
 
 
 # -- refusals ------------------------------------------------------------------------------
@@ -307,10 +327,6 @@ def test_the_ctypes_eigensolve_has_the_bits_of_eigvalsh(a):
     kept = a.copy()
     assert _eigvalsh(a).tobytes() == want.tobytes()
     assert a.tobytes() == kept.tobytes()
-    # in place where a is its own transpose, else on a copy
-    assert _eigvalsh(a, scratch=np.empty(a.size)).tobytes() == want.tobytes()
-    if not np.array_equal(kept, kept.T):
-        assert a.tobytes() == kept.tobytes()
 
 
 @pytest.fixture
@@ -339,14 +355,14 @@ def test_without_the_routine_eigvalsh_runs(tmp_path, monkeypatch, no_dsyevd):
     calls = _counting_eigvalsh(monkeypatch)
     a = np.random.default_rng(6).standard_normal((7, 7))
     a += a.T
-    assert _eigvalsh(a, scratch=np.empty(49)).tobytes() == np.linalg.eigvalsh(a).tobytes()
+    assert _eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
     acts = _activations(tmp_path, [(8, 12)])
     calls.clear()
     assert _diagnose(tmp_path, [acts, "--draws", "4"], "fallback")[0] == 0
     assert len(calls) == 4
 
 
-def test_a_failed_solve_falls_back_or_is_refused(monkeypatch):
+def test_a_failed_solve_falls_back_to_eigvalsh(monkeypatch):
     def failing(*args):
         work, lwork, iwork, liwork, info = args[6:11]
         if lwork.value == -1:  # the size query answers
@@ -360,6 +376,3 @@ def test_a_failed_solve_falls_back_or_is_refused(monkeypatch):
     a = np.diag([3.0, 1.0, 2.0])
     np.testing.assert_array_equal(_eigvalsh(a), [1.0, 2.0, 3.0])
     assert calls == [3]
-    # solved in place, a is spent: refused as eigvalsh refuses it
-    with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
-        _eigvalsh(a, scratch=np.empty(9))

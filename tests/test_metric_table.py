@@ -1,6 +1,8 @@
 """The bootstrap summary draws into one table, a row per metric named by
 the fields of ``SpectralStats``, and reports the bits the per-metric
-arrays gave."""
+arrays gave: those of each draw's ``spectral_stats`` for n >= d, and of
+the draws from the layer's one centred Gram for n < d, which stay within
+rtol 1e-12 of ``spectral_stats`` with the same numerical rank."""
 
 from __future__ import annotations
 
@@ -17,7 +19,11 @@ from geomerge.diagnostics import (
     bootstrap_stats,
     diagnostics_report,
 )
-from oracles import bootstrap_stats_per_metric
+from oracles import (
+    assert_draws_near_spectral_stats,
+    bootstrap_stats_from_gram,
+    bootstrap_stats_per_metric,
+)
 
 
 def test_metric_names_are_the_stats_fields():
@@ -36,7 +42,11 @@ def test_table_matches_per_metric_arrays(shape, draws):
         samples[:, 1:] = 0.0  # rank one: num_rank and the rank measures at 1
     layer = ActivationMatrix("layer_3", samples)
     got = bootstrap_stats(layer, draws, seed=11).metrics
-    want = bootstrap_stats_per_metric(layer.samples, "layer_3", draws, seed=11)
+    if shape[0] < shape[1]:
+        want = bootstrap_stats_from_gram(layer.samples, "layer_3", draws, seed=11)
+        assert_draws_near_spectral_stats(layer.samples, "layer_3", draws, seed=11)
+    else:
+        want = bootstrap_stats_per_metric(layer.samples, "layer_3", draws, seed=11)
     # json keeps every float's bits and the key order
     assert json.dumps(got) == json.dumps(want)
 

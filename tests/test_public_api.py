@@ -12,7 +12,9 @@ writer writes no ``__metadata__``, the solver's antipodal threshold is
 ``sphere.ANTIPODAL_EPS``, numerical rank uses d * eps, and a drop mask is
 keyed by the expert's position).  The toy forward's library call makes one
 layer from the one below it; the loop over a whole stack is the test oracle
-``toy_forward_stack``.
+``toy_forward_stack``.  A bootstrap draw of a wide layer is made from the
+layer's one Gram, so the per-draw resample buffers, the row keys that found
+a resample's equal rows and the in-place eigensolve are gone.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ RETIRED_PARAMETERS = [
     (diagnostics.toy_forward_collect, "layer_weights"),
     (diagnostics.toy_forward_collect, "inputs"),
     (diagnostics.toy_forward_collect, "biases"),
+    (diagnostics._eigvalsh, "scratch"),
 ]
+PER_DRAW = ("_Resample", "_head", "_key_vector", "_row_keys", "_distinct_rows", "_UFUNC_BUFSIZE")
 
 
 def test_all_is_sorted_without_duplicates():
@@ -70,3 +74,8 @@ def test_whole_model_surface_is_gone(name):
 )
 def test_retired_parameters_are_gone(function, parameter):
     assert parameter not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("name", PER_DRAW)
+def test_the_per_draw_resample_machinery_is_gone(name):
+    assert not hasattr(diagnostics, name)

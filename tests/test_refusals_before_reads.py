@@ -22,6 +22,7 @@ import pytest
 from geomerge import diagnostics, tensor_io
 from geomerge.cli import main
 from geomerge.tensor_io import TensorRecord, write_checkpoint
+from oracles import build_container
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geomerge"
 
@@ -201,3 +202,38 @@ def test_guard_sees_a_stray_refusal():
         '    raise ValueError(f"x: unknown key {k!r}")\n'
     )
     assert _unknown_key_sites(ast.parse(text)) == [(3, "f")]
+
+
+# -- a tensor name that is not valid Unicode ------------------------------------------------
+
+# JSON's \ud800 escape, valid JSON, decodes to a lone surrogate
+SURROGATE = "w\ud800"
+
+
+@pytest.mark.parametrize("command", ["lerp", "dare_ties", "inspect", "diagnose"])
+def test_a_name_that_is_not_unicode_is_refused_at_open(tmp_path, capsys, reads, command):
+    rng = np.random.default_rng(31)
+    raw = {name: rng.standard_normal(2).astype("<f8").tobytes() for name in ("v", SURROGATE)}
+    odd = tmp_path / "odd.st"
+    odd.write_bytes(build_container({name: ("F64", [2], data) for name, data in raw.items()}))
+    _write(tmp_path / "a.st", {"v": rng.standard_normal(2), "w": rng.standard_normal(2)})
+    out = tmp_path / "out"
+    recipe = tmp_path / "r.yaml"
+    if command == "lerp":
+        recipe.write_text(
+            f"method: lerp\nmodels: [{tmp_path / 'a.st'}, {odd}]\noutput: {{path: {out}}}\n"
+        )
+    else:
+        recipe.write_text(
+            f"method: dare_ties\nbase_model: {tmp_path / 'a.st'}\n"
+            f"models: [{tmp_path / 'a.st'}, {odd}]\nparameters: {{seed: 3}}\n"
+            f"output: {{path: {out}}}\n"
+        )
+    argv = {
+        "inspect": ["inspect", str(odd)],
+        "diagnose": ["diagnose", str(odd), "--out", str(out)],
+    }.get(command, ["merge", str(recipe), "--threads", "2"])
+    message = f"malformed container {odd}: tensor name 'w\\ud800' is not valid Unicode"
+    _refused(capsys, argv, 2, message)
+    assert reads == []
+    assert _files(tmp_path) == ["a.st", "odd.st", "r.yaml"]

@@ -1,12 +1,14 @@
-"""``covariance_spectrum`` collapses repeated rows of a wide matrix.
+"""Repeated rows: in a plain wide matrix, and in a layer's bootstrap draws.
 
-A bootstrap resample of n rows holds about 0.63 n distinct ones; for n < d
-the spectrum is taken from the k x k Gram of the distinct centered rows,
-each weighted by the square root of its count.  Here it is checked against
-the d x d covariance of ``oracles.covariance_spectrum_direct`` to 1e-12 of
-the top eigenvalue, with every summary to rtol 1e-12 and ``num_rank``
-equal; input with no repeated row against ``oracles.covariance_spectrum_gram``
-bit for bit; and rows whose keys tie but differ are never taken as one.
+``covariance_spectrum`` of an n < d matrix eigensolves the n x n Gram of
+its centred rows, repeated or not.  Matrices with repeated rows are checked
+against the d x d covariance of ``oracles.covariance_spectrum_direct`` to
+1e-12 of the top eigenvalue, with every summary to rtol 1e-12 and
+``num_rank`` equal, and every matrix against
+``oracles.covariance_spectrum_gram`` bit for bit.  A bootstrap draw of an
+n < d layer, about 0.63 n distinct rows, is a k x k problem made from the
+layer's one Gram and the draw's row counts; its summaries keep the bits of
+``oracles.bootstrap_stats_from_gram`` and stay near ``spectral_stats``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from hypothesis import strategies as st
 from geomerge.diagnostics import (
     ActivationMatrix,
     SpectralStats,
-    _distinct_rows,
-    _key_vector,
-    _row_keys,
+    _centred_gram,
+    _Draw,
     bootstrap_stats,
     covariance_spectrum,
     effective_rank,
@@ -35,7 +36,8 @@ from geomerge.diagnostics import (
 )
 from geomerge.errors import DTypeOverflowError, NonFiniteError
 from oracles import (
-    bootstrap_stats_per_metric,
+    assert_draws_near_spectral_stats,
+    bootstrap_stats_from_gram,
     covariance_spectrum_direct,
     covariance_spectrum_gram,
 )
@@ -73,13 +75,11 @@ def _repeat(rows: np.ndarray, counts, rng: np.random.Generator) -> np.ndarray:
     return x[rng.permutation(x.shape[0])]
 
 
-def _groups(x: np.ndarray) -> list[tuple[bytes, int]]:
-    """Each set of rows taken as equal, as (its row's bytes, its size), sorted."""
-    found = _distinct_rows(x)
-    assert found is not None
-    first, counts = found
-    assert counts.sum() == x.shape[0]
-    return sorted((x[i].tobytes(), int(c)) for i, c in zip(first, counts))
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first index of each set of equal rows of ``x`` and the size of
+    each set, or None where no row repeats: the cases' preconditions."""
+    _, first, counts = np.unique(x, axis=0, return_index=True, return_counts=True)
+    return None if counts.max() == 1 else (first, counts)
 
 
 # -- repeated rows against the d x d covariance ----------------------------------------
@@ -91,7 +91,6 @@ def test_every_row_equal_is_the_all_zero_spectrum():
     x = np.tile(row, (7, 1))
     np.testing.assert_array_equal(covariance_spectrum(x), np.zeros(20))
     assert spectral_stats(x) == SpectralStats(0.0, 0.0, 0.0, 0.0, 0)
-    assert _groups(x) == [(row.tobytes(), 7)]
 
 
 def test_every_row_equal_at_an_inexact_mean():
@@ -102,7 +101,6 @@ def test_every_row_equal_at_an_inexact_mean():
 def test_two_distinct_rows():
     rng = np.random.default_rng(3)
     x = _repeat(rng.standard_normal((2, 25)), [5, 3], rng)
-    assert [c for _, c in _groups(x)] in ([3, 5], [5, 3])
     _assert_matches_direct(x)
     assert spectral_stats(x).num_rank == 1
 
@@ -121,7 +119,11 @@ def test_constant_and_all_zero_columns():
     rows[:, 1::7] = 2.5
     x = _repeat(rows, [1, 4, 2, 2, 1, 3], rng)
     _assert_matches_direct(x)
-    assert np.all(covariance_spectrum(x)[6:] == 0.0)  # past the 6 distinct rows
+    # a bootstrap draw is a k x k problem: its spectrum is zero past the k
+    # rows it took
+    index = rng.integers(0, x.shape[0], size=x.shape[0])
+    lam = covariance_spectrum(_Draw(x, _centred_gram(x), index))
+    assert np.all(lam[np.unique(index).size :] == 0.0)
 
 
 @pytest.mark.parametrize("d", [8, 33, 64])
@@ -140,15 +142,13 @@ def test_negative_zero_beside_zero():
     x = _repeat(rows, [2, 3, 2], rng)
     x[::2, :4] = -0.0  # equal values with other bits
     _assert_matches_direct(x)
-    assert [c for _, c in _groups(np.abs(x))] == sorted([2, 3, 2])
 
 
 def test_bootstrap_resample_of_a_tanh_layer():
     rng = np.random.default_rng(8)
     layer = np.tanh(rng.standard_normal((64, 96)) @ rng.standard_normal((96, 96)) / 10.0)
     x = layer[rng.integers(0, 64, size=64)]
-    found = _distinct_rows(x)
-    assert found is not None and len(found[1]) == np.unique(x, axis=0).shape[0]
+    assert _distinct_rows(x) is not None
     _assert_matches_direct(x)
 
 
@@ -177,37 +177,6 @@ def test_repeated_rows_when_n_is_at_least_d_keep_the_direct_bits():
     rng = np.random.default_rng(11)
     x = _repeat(rng.standard_normal((5, 6)), [4, 2, 3, 1, 2], rng)
     np.testing.assert_array_equal(covariance_spectrum(x), covariance_spectrum_direct(x))
-
-
-# -- rows whose keys tie ---------------------------------------------------------------------
-
-
-def _tied_pair(d: int) -> np.ndarray:
-    """Two rows that differ but whose keys are both key[0] * key[1]."""
-    key = _key_vector(d)
-    a, b = np.zeros(d), np.zeros(d)
-    a[0], b[1] = key[1], key[0]
-    return np.stack([a, b])
-
-
-def test_rows_whose_keys_tie_are_not_taken_as_one():
-    d = 10
-    pair = _tied_pair(d)
-    keys = _row_keys(pair)
-    assert keys[0] == keys[1] and not np.array_equal(pair[0], pair[1])
-    x = pair[[0, 1, 0, 1, 1]]
-    np.testing.assert_array_equal(_row_keys(x), np.full(5, keys[0]))
-    assert sum(c for _, c in _groups(x)) == 5
-    assert {row for row, _ in _groups(x)} == {pair[0].tobytes(), pair[1].tobytes()}
-    _assert_matches_direct(x)
-    assert spectral_stats(x).num_rank == 1
-
-
-def test_tied_distinct_rows_alone_take_the_gram_route():
-    pair = _tied_pair(6)
-    x = np.vstack([pair, np.ones((1, 6))])
-    assert _distinct_rows(x) is None
-    np.testing.assert_array_equal(covariance_spectrum(x), covariance_spectrum_gram(x))
 
 
 # -- input with no repeated row keeps its bits ------------------------------------------
@@ -246,9 +215,10 @@ def pooled(draw):
 @given(pooled(), st.sampled_from([1e-100, 1.0, 1e100]))
 def test_pooled_rows_match_the_direct_oracle_and_the_bootstrap_keeps_its_bits(x, scale):
     _assert_matches_direct(x * scale)
-    # the per-metric oracle takes its mean and std unscaled, so its bits
-    # are the package's at unit scale only
+    # the Gram oracle takes its mean and std unscaled, so its bits are the
+    # package's at unit scale only
     layer = ActivationMatrix("layer_1", x)
     got = bootstrap_stats(layer, 3, seed=5).metrics
-    want = bootstrap_stats_per_metric(layer.samples, "layer_1", 3, seed=5)
+    want = bootstrap_stats_from_gram(layer.samples, "layer_1", 3, seed=5)
     assert json.dumps(got) == json.dumps(want)
+    assert_draws_near_spectral_stats(layer.samples, "layer_1", 3, seed=5)

@@ -9,8 +9,10 @@ fails.  Its peak memory follows the largest tensor, not the tensor count.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 import threading
@@ -85,8 +87,39 @@ class TestWriter:
             tensor_io.os, "replace", lambda a, b: calls.append("replace") or real_replace(a, b)
         )
         write_checkpoint(tmp_path / "o.st", [TensorRecord("w", np.ones(3))])
-        assert calls == ["fsync", "replace"]
+        # the file, the rename, then the directory that holds the new name
+        assert calls == ["fsync", "replace", "fsync"]
         assert read_records(tmp_path / "o.st")["w"].data.tolist() == [1.0, 1.0, 1.0]
+
+    def test_the_directory_sync_is_of_the_outputs_directory(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            tensor_io.os, "fsync", lambda fd: synced.append(os.fstat(fd)) or real_fsync(fd)
+        )
+        (tmp_path / "sub").mkdir()
+        write_checkpoint(tmp_path / "sub" / "o.st", [TensorRecord("w", np.ones(3))])
+        assert os.path.samestat(synced[-1], os.stat(tmp_path / "sub"))
+
+    def test_a_failed_directory_sync_names_the_output_in_place(self, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+
+        def failing_directory_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "Input/output error")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(tensor_io.os, "fsync", failing_directory_fsync)
+        out = tmp_path / "o.st"
+        with pytest.raises(OSError) as caught:
+            write_checkpoint(out, [TensorRecord("w", np.ones(3))])
+        assert caught.value.filename == str(out)
+        assert str(caught.value) == (
+            f"[Errno {errno.EIO}] Input/output error (syncing its directory): '{out}'"
+        )
+        # the rename came first: the new file is in place, no temporary is left
+        assert [p.name for p in tmp_path.iterdir()] == ["o.st"]
+        assert read_records(out)["w"].data.tolist() == [1.0, 1.0, 1.0]
 
     def test_a_failed_sync_leaves_nothing(self, tmp_path, monkeypatch):
         def failing_fsync(fd):
@@ -159,6 +192,23 @@ def _recipe(root: Path, out: Path) -> Path:
 
 
 class TestRunMergeStreams:
+    def test_a_failed_directory_sync_exits_2_naming_the_output(self, tmp_path, monkeypatch, capsys):
+        _sources(tmp_path, ["w0", "w1"])
+        real_fsync = os.fsync
+
+        def failing_directory_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(errno.EIO, "Input/output error")
+            return real_fsync(fd)
+
+        monkeypatch.setattr(tensor_io.os, "fsync", failing_directory_fsync)
+        out = tmp_path / "m.st"
+        assert main(["merge", str(_recipe(tmp_path, out)), "--threads", "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EIO}] Input/output error (syncing its directory): '{out}'\n"
+        )
+        assert sorted(read_records(out)) == ["w0", "w1"]
+
     def test_unwritable_output_exits_2_before_any_load(self, tmp_path, monkeypatch, capsys):
         _sources(tmp_path, ["w0", "w1"])
         loads = []

@@ -14,6 +14,12 @@ It ends with each side's failed and attempted invocations over all pairs.
 A gain is claimed only where the change won at least nine pairs in ten and
 the medians differ by more than the distance between the parent's
 quartiles.
+
+Each metric also gets a verdict against its ``bound`` in the repository's
+``BENCHMARK.json`` (read, never written): ``REGRESSION`` where the change's
+median is worse than the parent's by more than the bound, ``UNRESOLVED``
+where the parent's quartile spread over its median exceeds the bound and
+not every change run beats every parent run, and ``ok`` otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import time
 from pathlib import Path
 
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 _CONTROL_BYTES = bytes(8 << 20)
 _CONTROL_ROUNDS = 4
@@ -98,10 +105,31 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]]) -> dict[str, dict]:
+def bounds(path: Path = BENCHMARK) -> dict[str, float]:
+    """Each end-to-end metric's relative bound, as ``path`` declares it."""
+    return {m["name"]: float(m["bound"]) for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """``REGRESSION``, ``UNRESOLVED`` or ``ok`` for one better-lower metric's
+    runs on each side, against its relative ``bound``."""
+    pq, cq = _quartiles(parent), _quartiles(change)
+    if cq[1] > pq[1] * (1.0 + bound):
+        return "REGRESSION"
+    if pq[2] - pq[0] > bound * pq[1] and not max(change) < min(parent):
+        return "UNRESOLVED"
+    return "ok"
+
+
+def summarize(
+    pairs: list[tuple[dict[str, float], dict[str, float]]], limits: dict[str, float] | None = None
+) -> dict[str, dict]:
     """Per metric, each side's median and quartiles over the (parent,
-    change) pairs, the pairs the change won (lower) and lost, and whether a
-    gain may be claimed.  Pairs where either side failed are left out."""
+    change) pairs, the pairs the change won (lower) and lost, whether a
+    gain may be claimed, and the :func:`verdict` against its bound in
+    ``limits`` (default: :func:`bounds`).  Pairs where either side failed
+    are left out."""
+    limits = bounds() if limits is None else limits
     good = [(p, c) for p, c in pairs if not p["failed"] and not c["failed"]]
     summary: dict[str, dict] = {}
     for name in METRICS:
@@ -121,6 +149,7 @@ def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]]) -> dict[st
             "losses": losses,
             "relative": cq[1] / pq[1] - 1.0 if pq[1] else float("nan"),
             "gain": wins >= 0.9 * len(good) and pq[1] - cq[1] > pq[2] - pq[0],
+            "verdict": verdict(parent, change, limits[name]),
         }
     return summary
 
@@ -166,7 +195,7 @@ def main() -> int:
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
         print(f"  {name:<12} parent {pm:.4f} [{p1:.4f}-{p3:.4f}]  change {cm:.4f} [{c1:.4f}-{c3:.4f}]"
               f"  {s['relative']:+.1%}  change lower in {s['wins']} of {s['pairs']} pairs"
-              f" (higher in {s['losses']}){'  GAIN' if s['gain'] else ''}")
+              f" (higher in {s['losses']}){'  GAIN' if s['gain'] else ''}  {s['verdict']}")
     failed = sum(1 for p, c in pairs if p["failed"] or c["failed"])
     if failed:
         print(f"  {failed} pairs had a failed run and are left out")
