@@ -82,8 +82,8 @@ class _Draw:
     takes it.
 
     ``layer`` is the layer's n x d rows, ``gram`` the n x n Gram K of those
-    rows centred at their column mean, and ``index`` the rows the draw
-    took; ``np.asarray`` gives the resample the draw stands for.
+    rows less a centre per column, and ``index`` the rows the draw took;
+    ``np.asarray`` gives the resample the draw stands for.
     """
 
     layer: np.ndarray
@@ -121,17 +121,16 @@ class _Draw:
         return g
 
 
-def _centred_gram(x: np.ndarray) -> np.ndarray:
-    """The smaller Gram of x's rows centred at their column mean: C C^T
-    (n x n) for n < d, else C^T C (d x d).
+def _centred_gram(centred: np.ndarray) -> np.ndarray:
+    """The smaller Gram of the n x d rows ``centred``, a layer less a
+    centre per column: C C^T (n x n) for n < d, else C^T C (d x d).
 
     Centred rows whose largest magnitude is below float64's normal range,
     where every product of the Gram underflows, are refused.
     """
-    centred = x - x.mean(axis=0, keepdims=True)
     if 0.0 < max(centred.max(), -centred.min()) < _ROOT_TINY:
         raise DTypeOverflowError("covariance below float64's normal range")
-    n, d = x.shape
+    n, d = centred.shape
     return centred @ centred.T if n < d else centred.T @ centred
 
 
@@ -162,7 +161,7 @@ def covariance_spectrum(samples: np.ndarray | _Draw) -> np.ndarray:
         # beyond float64's range the Gram or its eigenvalues turn non-finite,
         # refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = _centred_gram(x)
+            gram = _centred_gram(x - x.mean(axis=0, keepdims=True))
             gram /= n - 1
     if not np.isfinite(gram).all():
         raise NonFiniteError("covariance beyond float64 range")
@@ -325,11 +324,15 @@ def bootstrap_stats(
     Called on its own, or where the BLAS's thread-count calls are not found,
     the bits follow the BLAS thread count in force.
 
-    For n < d the layer is centred at its column mean once, and its n x n
-    Gram K taken once, at O(n^2 d).  A draw then builds its k x k matrix
-    from K and the count of each row it took, at O(k^2), and eigensolves
-    it at O(k^3); its mean variance is that matrix's trace over d.  For
-    n >= d a draw takes :func:`spectral_stats` of its gathered resample.
+    For n >= d a draw takes :func:`spectral_stats` of its resample,
+    gathered into an n x d buffer that each thread keeps for its draws.
+    For n < d the layer is centred at its column median once, and its
+    n x n Gram K taken once, at O(n^2 d).  A draw then builds its k x k
+    matrix from K and the count of each row it took, at O(k^2), and
+    eigensolves it at O(k^3); its mean variance is that matrix's trace
+    over d.  That matrix rounds in proportion to the centred rows the draw
+    took: a median, unlike a mean, is not pulled towards a few rows far
+    from the rest, so a draw that leaves them out keeps its ranks.
 
     The draws are shared out between the calling thread and up to
     ``threads - 1`` worker threads (default: one thread per CPU; at most
@@ -349,12 +352,14 @@ def bootstrap_stats(
     # a row per metric, a column per draw
     table = np.empty((len(METRIC_NAMES), draws))
     threads = min(threads or usable_cpus(), draws)
+    # made here, not in each worker, where glibc's per-thread malloc arenas added 4 MiB of RSS
+    buffers = [np.empty((n, d)) if n >= d else None for _ in range(threads)]
     todo = iter(range(draws))
     lock = threading.Lock()
     stop = threading.Event()
     failed: dict[int, Exception] = {}
 
-    def run(gram: np.ndarray | None) -> None:
+    def run(rows: np.ndarray | None) -> None:
         # a statistic beyond float64's range is refused below, with no
         # overflow warning; the error state is each thread's own
         with np.errstate(over="ignore", invalid="ignore"):
@@ -365,7 +370,7 @@ def bootstrap_stats(
                     return
                 try:
                     index = keyed_stream(seed, f"bootstrap:{label}", k).integers(0, n, size=n)
-                    table[:, k] = astuple(_draw_stats(x, gram, index))
+                    table[:, k] = astuple(_draw_stats(x, gram, index, rows))
                 except Exception as exc:
                     with lock:
                         failed[k] = exc
@@ -378,13 +383,14 @@ def bootstrap_stats(
     # refused with the layer's name, and no overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            gram = _centred_gram(x) if n < d else None
+            # the column median (the upper middle value for even n)
+            gram = _centred_gram(x - np.partition(x, n // 2, axis=0)[n // 2]) if n < d else None
             try:
-                for _ in range(threads - 1):
-                    worker = threading.Thread(target=run, args=(gram,), name=f"bootstrap-{label}")
+                for rows in buffers[1:]:
+                    worker = threading.Thread(target=run, args=(rows,), name=f"bootstrap-{label}")
                     worker.start()
                     workers.append(worker)
-                run(gram)
+                run(buffers[0])
             finally:
                 stop.set()
                 for worker in workers:
@@ -401,12 +407,15 @@ def bootstrap_stats(
     return LayerDiagnostics(label=label, samples=n, features=d, metrics=metrics)
 
 
-def _draw_stats(x: np.ndarray, gram: np.ndarray | None, index: np.ndarray) -> SpectralStats:
+def _draw_stats(
+    x: np.ndarray, gram: np.ndarray | None, index: np.ndarray, rows: np.ndarray | None
+) -> SpectralStats:
     """The summaries of the draw of ``x``'s rows at ``index``: from the
     layer's centred Gram ``gram`` for n < d, else ``spectral_stats`` of the
-    resample."""
+    resample, gathered into the n x d buffer ``rows``."""
     if gram is None:
-        return spectral_stats(x[index])
+        # mode "clip" (the index is in range) gathers straight into rows
+        return spectral_stats(np.take(x, index, axis=0, out=rows, mode="clip"))
     draw = _Draw(x, gram, index)
     lam = covariance_spectrum(draw)
     return _summaries(float(np.trace(draw.matrix)) / x.shape[1], lam)
@@ -435,9 +444,10 @@ def diagnostics_report(
     :func:`_one_blas_thread`.  A layer's draws run on ``threads`` threads
     (default: one per CPU this process may run on), which are joined
     before the next layer is taken; the report's bits do not depend on
-    the count.  Besides the layer, a layer with fewer samples than features
-    holds one n x n Gram while its draws run, and each draw a k x k matrix
-    (k its distinct rows); the threads keep no buffer of the layer's size.
+    the count.  Besides the layer, an n < d layer holds one n x n Gram
+    while its draws run, and each draw a k x k matrix (k its distinct
+    rows); on any other layer each thread gathers its draws into an n x d
+    buffer, and each draw makes two n x d temporaries.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -608,7 +608,7 @@ def gram_draws(
     """Each bootstrap draw of an n < d layer as (its row index, its five
     summaries), taken from the layer's centred n x n Gram.
 
-    The layer is centred at its column mean and K = C C^T taken once.  A
+    The layer is centred at its column median and K = C C^T taken once.  A
     draw with row counts c (its k rows with c > 0) has w = c / n, a = K w,
     b = w^T a and the k x k matrix
     G = (K - a 1^T - 1 a^T + b) / (n - 1) * sqrt(c) sqrt(c)^T: its
@@ -618,7 +618,7 @@ def gram_draws(
     x = np.asarray(samples, dtype=np.float64)
     n, d = x.shape
     assert n < d, "the Gram route is the n < d one"
-    centred = x - x.mean(axis=0, keepdims=True)
+    centred = x - np.sort(x, axis=0)[n // 2]
     gram = centred @ centred.T
     out = []
     for k in range(draws):

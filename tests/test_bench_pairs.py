@@ -126,9 +126,10 @@ def test_the_bounds_are_read_from_the_benchmark_file():
         ([0.6, 0.7, 1.0, 1.3, 1.4], [1.3, 1.4, 1.5, 1.6, 1.7], "REGRESSION"),
     ],
 )
-def test_each_metric_gets_a_verdict_against_its_bound(parent, change, want):
+def test_each_metric_gets_a_verdict_against_its_bound(parent, change, want, monkeypatch):
     assert bench_pairs.verdict(parent, change, 0.25) == want
-    s = bench_pairs.summarize(_pairs(parent, change), {name: 0.25 for name in bench_pairs.METRICS})
+    monkeypatch.setattr(bench_pairs, "bounds", lambda: {name: 0.25 for name in bench_pairs.METRICS})
+    s = bench_pairs.summarize(_pairs(parent, change))
     assert s["wall_s"]["verdict"] == want
     assert s["cpu_s"]["verdict"] == "ok"  # 1.0 on both sides
 

@@ -162,21 +162,21 @@ def test_a_draw_keeps_the_bits_of_its_oracle(shape, scale):
     if n >= d:
         for k in range(5):
             index = _index("layer_1", k, n)
-            got = _outcome(lambda: _draw_stats(x, None, index))
+            got = _outcome(lambda: _draw_stats(x, None, index, np.empty_like(x)))
             assert got == _outcome(lambda: spectral_stats(x[index])), k
         return
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = _centred_gram(x)
+        gram = _centred_gram(x - np.sort(x, axis=0)[n // 2])
     if scale > 1e150:
         # the layer's Gram overflows, so every draw is refused, even one of
         # a single row, whose resample spectral_stats takes as all zero
         for k in range(5):
-            got = _outcome(lambda: _draw_stats(x, gram, _index("layer_1", k, n)))
+            got = _outcome(lambda: _draw_stats(x, gram, _index("layer_1", k, n), None))
             assert got == (NonFiniteError, "covariance beyond float64 range"), k
         return
     for k, (index, want) in enumerate(gram_draws(x, "layer_1", 5, SEED)):
         np.testing.assert_array_equal(index, _index("layer_1", k, n))
-        got = _draw_stats(x, gram, index)
+        got = _draw_stats(x, gram, index, None)
         assert json.dumps(astuple(got)) == json.dumps(astuple(want)), k
         near = spectral_stats(x[index])
         assert got.num_rank == near.num_rank

@@ -122,7 +122,7 @@ def test_constant_and_all_zero_columns():
     # a bootstrap draw is a k x k problem: its spectrum is zero past the k
     # rows it took
     index = rng.integers(0, x.shape[0], size=x.shape[0])
-    lam = covariance_spectrum(_Draw(x, _centred_gram(x), index))
+    lam = covariance_spectrum(_Draw(x, _centred_gram(x - np.sort(x, axis=0)[len(x) // 2]), index))
     assert np.all(lam[np.unique(index).size :] == 0.0)
 
 
@@ -222,3 +222,18 @@ def test_pooled_rows_match_the_direct_oracle_and_the_bootstrap_keeps_its_bits(x,
     want = bootstrap_stats_from_gram(layer.samples, "layer_1", 3, seed=5)
     assert json.dumps(got) == json.dumps(want)
     assert_draws_near_spectral_stats(layer.samples, "layer_1", 3, seed=5)
+
+
+@pytest.mark.parametrize("rank", [1, 4])
+@pytest.mark.parametrize("scale", [1e3, 1e5])
+def test_a_low_rank_layer_with_one_far_row_keeps_its_ranks(rank, scale):
+    # a draw that leaves the far row out keeps rows close together; the
+    # layer's one Gram must not round them as far apart as that row is
+    rng = np.random.default_rng(rank)
+    x = rng.standard_normal((256, rank)) @ rng.standard_normal((rank, 1024))
+    x[0] *= scale
+    layer = ActivationMatrix("layer_1", x)
+    got = bootstrap_stats(layer, 12, seed=5, threads=1).metrics
+    assert json.dumps(got) == json.dumps(bootstrap_stats_from_gram(x, "layer_1", 12, seed=5))
+    assert got["num_rank"] == {"mean": float(rank), "std": 0.0}
+    assert_draws_near_spectral_stats(x, "layer_1", 12, seed=5)

@@ -105,9 +105,9 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def bounds(path: Path = BENCHMARK) -> dict[str, float]:
-    """Each end-to-end metric's relative bound, as ``path`` declares it."""
-    return {m["name"]: float(m["bound"]) for m in json.loads(path.read_text())["end_to_end"]}
+def bounds() -> dict[str, float]:
+    """Each end-to-end metric's relative bound, as ``BENCHMARK`` declares it."""
+    return {m["name"]: float(m["bound"]) for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
 
 
 def verdict(parent: list[float], change: list[float], bound: float) -> str:
@@ -121,15 +121,12 @@ def verdict(parent: list[float], change: list[float], bound: float) -> str:
     return "ok"
 
 
-def summarize(
-    pairs: list[tuple[dict[str, float], dict[str, float]]], limits: dict[str, float] | None = None
-) -> dict[str, dict]:
+def summarize(pairs: list[tuple[dict[str, float], dict[str, float]]]) -> dict[str, dict]:
     """Per metric, each side's median and quartiles over the (parent,
     change) pairs, the pairs the change won (lower) and lost, whether a
     gain may be claimed, and the :func:`verdict` against its bound in
-    ``limits`` (default: :func:`bounds`).  Pairs where either side failed
-    are left out."""
-    limits = bounds() if limits is None else limits
+    :func:`bounds`.  Pairs where either side failed are left out."""
+    limits = bounds()
     good = [(p, c) for p, c in pairs if not p["failed"] and not c["failed"]]
     summary: dict[str, dict] = {}
     for name in METRICS:
