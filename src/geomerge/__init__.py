@@ -1,56 +1,10 @@
 """geomerge: norm-preserving geodesic checkpoint merging, Euclidean merge
-baselines, and representation-collapse diagnostics."""
+baselines, and representation-collapse diagnostics.  Each export and each
+submodule is imported on first use (PEP 562): ``import geomerge`` loads no numpy.
+"""
 
-from .delta_ops import (
-    SparsifySpec,
-    dare_drop,
-    della_drop,
-    disjoint_merge,
-    elect_signs,
-    task_vector,
-    trim_topk,
-)
-from .diagnostics import (
-    ActivationMatrix,
-    DiagnosticsReport,
-    SpectralStats,
-    bootstrap_stats,
-    covariance_spectrum,
-    diagnostics_report,
-    effective_rank,
-    mean_activation_variance,
-    numerical_rank,
-    participation_ratio,
-    spectral_stats,
-    stable_rank,
-    toy_forward_collect,
-)
-from .merge_methods import (
-    MergeJob,
-    MergeMethod,
-    MergeSummary,
-    merge_dare,
-    merge_della,
-    merge_karcher,
-    merge_lerp,
-    merge_model_stock,
-    merge_multislerp,
-    merge_slerp,
-    merge_task_arithmetic,
-    merge_ties,
-    run_merge,
-)
-from .recipe import MergeRecipe, load_recipe, parse_recipe
-from .sphere import KarcherConfig, KarcherResult, karcher_mean, slerp
-from .tensor_io import (
-    AlignmentReport,
-    CheckpointHandle,
-    CheckpointWriter,
-    TensorRecord,
-    open_checkpoint,
-    validate_aligned,
-    write_checkpoint,
-)
+from importlib import import_module
+from importlib.util import find_spec
 
 __version__ = "0.1.0"
 
@@ -103,3 +57,22 @@ __all__ = [
     "validate_aligned",
     "write_checkpoint",
 ]
+
+#: The modules an export is looked up in, in order.
+_MODULES = ("delta_ops", "diagnostics", "merge_methods", "recipe", "sphere", "tensor_io")
+
+
+def __getattr__(name: str) -> object:
+    """An export, from the first of ``_MODULES`` that has it, or a submodule."""
+    if name in __all__:
+        for module in map(import_module, (f"{__name__}.{m}" for m in _MODULES)):
+            if name in vars(module):
+                globals()[name] = vars(module)[name]  # the next lookup finds it here
+                return globals()[name]
+    elif name.isidentifier() and find_spec(f"{__name__}.{name}") is not None:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,10 +13,17 @@ import csv
 import json
 import logging
 import math
+import os
 import re
 import sys
 from pathlib import Path
 from typing import Any, Iterator, Sequence
+
+# numpy's OpenBLAS starts its thread pool as numpy loads, and no command runs
+# BLAS on more than one thread; a user's own setting wins, and a numpy that is
+# already loaded has read its environment
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import yaml

@@ -78,36 +78,48 @@ _ROOT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 @dataclass
 class _Draw:
-    """One bootstrap draw of an n < d layer, as :func:`covariance_spectrum`
-    takes it.
+    """One bootstrap draw of a layer, as :func:`covariance_spectrum` takes it.
 
-    ``layer`` is the layer's n x d rows, ``gram`` the n x n Gram K of those
-    rows less a centre per column, and ``index`` the rows the draw took;
-    ``np.asarray`` gives the resample the draw stands for.
+    ``layer`` is the layer's n x d rows and ``index`` the rows the draw
+    took; ``np.asarray`` gives the resample the draw stands for.  ``gram``
+    is, for n < d, the n x n Gram K of the layer's rows less a centre per
+    column; ``rows``, for n >= d, an n x d buffer to gather and centre in.
     """
 
     layer: np.ndarray
-    gram: np.ndarray
+    gram: np.ndarray | None
     index: np.ndarray
+    rows: np.ndarray | None = None
 
     def __array__(self, dtype: Any = None, copy: bool | None = None) -> np.ndarray:
         return np.asarray(self.layer[self.index], dtype=dtype)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The k x k matrix whose eigenvalues are the nonzero ones of the
+        """A matrix whose eigenvalues are the nonzero ones of the
         resample's covariance, and whose trace is the covariance's.
 
-        With c the count of each of the k rows the draw took, w = c / n,
-        a = K w and b = w^T a, the resample's centred rows have the Gram
-        K - a 1^T - 1 a^T + b (taken at those rows); scaled by
+        For n >= d it is that d x d covariance, of the resample centred in
+        place in ``rows``, with the bits of :func:`covariance_spectrum`'s.
+        For n < d, with c the count of each of the k rows the draw took,
+        w = c / n, a = K w and b = w^T a, the resample's centred rows have
+        the Gram K - a 1^T - 1 a^T + b (taken at those rows); scaled by
         sqrt(c) sqrt(c)^T, the k x k matrix stands for all n rows, so
-        equal rows need no finding.  A draw of one row has w = 1, so its
-        matrix is exactly zero.
+        equal rows need no finding.  Rows equal in content count as one
+        row: w = 1, so the matrix is exactly zero.
         """
         n = self.index.size
+        if self.gram is None:
+            # mode "clip" (the index is in range) gathers straight into rows
+            x = np.take(self.layer, self.index, axis=0, out=self.rows, mode="clip")
+            cov = _centred_gram(_centred(x, out=x))
+            cov /= n - 1
+            return cov
         counts = np.bincount(self.index, minlength=n)
         rows = np.flatnonzero(counts)
+        if _equal_rows(self.layer, rows):
+            counts[rows[0]] = n
+            rows = rows[:1]
         c = counts[rows].astype(np.float64)
         w = c / n
         g = self.gram[np.ix_(rows, rows)]
@@ -119,6 +131,27 @@ class _Draw:
         root = np.sqrt(c)
         g *= np.multiply.outer(root, root)
         return g
+
+
+def _equal_rows(x: np.ndarray, rows: np.ndarray | slice = slice(None)) -> bool:
+    """Whether the rows of ``x`` at ``rows`` are all equal; one column is
+    compared first, so most matrices cost O(n)."""
+    column = x[rows, :1]
+    return bool((column == column[0]).all() and (x[rows] == x[rows][0]).all())
+
+
+def _centred(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` less its column means, into ``out`` if given.  Rows that are
+    all equal are centred at the first, to exact zeros rather than the
+    rounding of an inexact mean."""
+    return np.subtract(x, x[:1] if _equal_rows(x) else x.mean(axis=0, keepdims=True), out=out)
+
+
+def _mean_variance(centred: np.ndarray) -> float:
+    """The mean over features of ``np.var(ddof=1)`` of rows already
+    centred, with its bits; ``centred`` is squared in place."""
+    sq = np.square(centred, out=centred)
+    return float((np.add.reduce(sq, axis=0) / (len(sq) - 1)).mean())
 
 
 def _centred_gram(centred: np.ndarray) -> np.ndarray:
@@ -145,9 +178,10 @@ def covariance_spectrum(samples: np.ndarray | _Draw) -> np.ndarray:
     zero-padded to length d, so the rank measures (and the d * eps threshold
     of :func:`numerical_rank`) see the same spectrum either way.
 
-    A bootstrap draw of an n < d layer comes as a :class:`_Draw`, whose
-    eigensolve runs on its k x k matrix, made from the layer's Gram at
-    O(k^2), for the k distinct rows it took.
+    Where every row is equal the spectrum is exactly zero.  A bootstrap
+    draw comes as a :class:`_Draw`, whose eigensolve runs on its matrix:
+    for an n < d layer a k x k one, made from the layer's Gram at O(k^2),
+    for the k distinct rows it took.
     """
     if isinstance(samples, _Draw):
         gram, d = samples.matrix, samples.layer.shape[1]
@@ -161,8 +195,7 @@ def covariance_spectrum(samples: np.ndarray | _Draw) -> np.ndarray:
         # beyond float64's range the Gram or its eigenvalues turn non-finite,
         # refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = _centred_gram(x - x.mean(axis=0, keepdims=True))
-            gram /= n - 1
+            gram = _centred_gram(_centred(x)) / (n - 1)
     if not np.isfinite(gram).all():
         raise NonFiniteError("covariance beyond float64 range")
     eig = np.clip(_eigvalsh(gram), 0.0, None)[::-1]
@@ -176,12 +209,13 @@ def covariance_spectrum(samples: np.ndarray | _Draw) -> np.ndarray:
 def mean_activation_variance(samples: np.ndarray) -> float:
     """Mean over features of the per-feature sample variance (n-1 denominator).
 
-    Equals trace(covariance)/d, i.e. the spectrum mean.
+    Equals trace(covariance)/d, i.e. the spectrum mean; exactly zero where
+    every row is equal.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("mean_activation_variance expects an n x d matrix with n >= 2")
-    return float(x.var(axis=0, ddof=1).mean())
+    return _mean_variance(_centred(x))
 
 
 def effective_rank(spectrum: np.ndarray) -> float:
@@ -324,9 +358,9 @@ def bootstrap_stats(
     Called on its own, or where the BLAS's thread-count calls are not found,
     the bits follow the BLAS thread count in force.
 
-    For n >= d a draw takes :func:`spectral_stats` of its resample,
-    gathered into an n x d buffer that each thread keeps for its draws.
-    For n < d the layer is centred at its column median once, and its
+    For n >= d a draw gathers its resample into an n x d buffer that each
+    thread keeps for its draws, and centres it there at one mean, with the
+    bits of :func:`spectral_stats`.  For n < d the layer is centred at its column median once, and its
     n x n Gram K taken once, at O(n^2 d).  A draw then builds its k x k
     matrix from K and the count of each row it took, at O(k^2), and
     eigensolves it at O(k^3); its mean variance is that matrix's trace
@@ -411,13 +445,12 @@ def _draw_stats(
     x: np.ndarray, gram: np.ndarray | None, index: np.ndarray, rows: np.ndarray | None
 ) -> SpectralStats:
     """The summaries of the draw of ``x``'s rows at ``index``: from the
-    layer's centred Gram ``gram`` for n < d, else ``spectral_stats`` of the
-    resample, gathered into the n x d buffer ``rows``."""
+    layer's centred Gram ``gram`` for n < d, else from the resample,
+    gathered into the n x d buffer ``rows``."""
+    draw = _Draw(x, gram, index, rows)
+    lam = covariance_spectrum(draw)  # for n >= d, its matrix centres rows
     if gram is None:
-        # mode "clip" (the index is in range) gathers straight into rows
-        return spectral_stats(np.take(x, index, axis=0, out=rows, mode="clip"))
-    draw = _Draw(x, gram, index)
-    lam = covariance_spectrum(draw)
+        return _summaries(_mean_variance(rows), lam)
     return _summaries(float(np.trace(draw.matrix)) / x.shape[1], lam)
 
 
@@ -446,8 +479,8 @@ def diagnostics_report(
     before the next layer is taken; the report's bits do not depend on
     the count.  Besides the layer, an n < d layer holds one n x n Gram
     while its draws run, and each draw a k x k matrix (k its distinct
-    rows); on any other layer each thread gathers its draws into an n x d
-    buffer, and each draw makes two n x d temporaries.
+    rows); on any other layer each thread works in one n x d buffer, and
+    each draw makes a d x d covariance.
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

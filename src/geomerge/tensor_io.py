@@ -435,6 +435,8 @@ class CheckpointWriter:
         view = memoryview(raw).cast("B")
         while view:
             written = os.pwrite(self._fd, view, offset)
+            if written == 0:  # a retry would make no more progress than this one
+                raise OSError(f"no bytes written to {self.path}")
             view = view[written:]
             offset += written
 

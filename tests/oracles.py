@@ -613,7 +613,9 @@ def gram_draws(
     b = w^T a and the k x k matrix
     G = (K - a 1^T - 1 a^T + b) / (n - 1) * sqrt(c) sqrt(c)^T: its
     eigenvalues, zero-padded to d, are the spectrum, and trace(G) / d the
-    mean variance.  Finite layers within float64's range only.
+    mean variance.  Rows equal in content count as one row, so a draw
+    whose rows are all equal has G exactly zero.  Finite layers within
+    float64's range only.
     """
     x = np.asarray(samples, dtype=np.float64)
     n, d = x.shape
@@ -625,6 +627,9 @@ def gram_draws(
         index = keyed_stream(seed, f"bootstrap:{label}", k).integers(0, n, size=n)
         counts = np.bincount(index, minlength=n)
         rows = np.flatnonzero(counts)
+        if np.unique(x[rows], axis=0).shape[0] == 1:
+            counts[rows[0]] = n
+            rows = rows[:1]
         c = counts[rows].astype(np.float64)
         w = c / n
         a = gram[np.ix_(rows, rows)] @ w
@@ -656,20 +661,13 @@ def assert_draws_near_spectral_stats(samples: np.ndarray, label: str, draws: int
     """Each :func:`gram_draws` draw within rtol 1e-12 of ``spectral_stats`` of
     its gathered resample, with the same numerical rank.
 
-    A resample whose rows are all equal has no spread, and both routes give
-    rounding: its mean variance is held to 1e-14 of the layer's, and its
-    rank measures, which measure that rounding, are not compared.  A draw
-    of one row of the layer is exactly zero.
+    A resample whose rows are all equal has no spread: both routes give
+    exactly zero, ranks included.
     """
-    floor = 1e-14 * float(np.var(samples, axis=0, ddof=1).mean())
     for k, (index, got) in enumerate(gram_draws(samples, label, draws, seed)):
-        if np.unique(index).size == 1:
-            assert got == SpectralStats(0.0, 0.0, 0.0, 0.0, 0), k
-            continue
-        if np.unique(samples[index], axis=0).shape[0] == 1:
-            assert got.mean_variance <= floor, k
-            continue
         want = spectral_stats(samples[index])
+        if np.unique(samples[index], axis=0).shape[0] == 1:
+            assert got == want == SpectralStats(0.0, 0.0, 0.0, 0.0, 0), k
         assert got.num_rank == want.num_rank, k
         for metric in ("mean_variance", "eff_rank", "stable_rank", "participation_ratio"):
             np.testing.assert_allclose(

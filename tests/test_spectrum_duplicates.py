@@ -9,6 +9,7 @@ against the d x d covariance of ``oracles.covariance_spectrum_direct`` to
 n < d layer, about 0.63 n distinct rows, is a k x k problem made from the
 layer's one Gram and the draw's row counts; its summaries keep the bits of
 ``oracles.bootstrap_stats_from_gram`` and stay near ``spectral_stats``.
+Rows that are all equal, in a matrix or a draw, give exact zeros.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomerge.diagnostics import (
+    METRIC_NAMES,
     ActivationMatrix,
     SpectralStats,
     _centred_gram,
@@ -57,7 +59,12 @@ def _oracle_stats(x: np.ndarray) -> SpectralStats:
 def _assert_matches_direct(x: np.ndarray) -> None:
     """The spectrum to 1e-12 of its top eigenvalue (the d x d oracle's null
     eigenvalues are rounding, not zeros), each summary to rtol 1e-12, and
-    the same numerical rank."""
+    the same numerical rank.  Rows that are all equal, where the oracle
+    gives rounding, give exact zeros."""
+    if np.unique(x, axis=0).shape[0] == 1:
+        np.testing.assert_array_equal(covariance_spectrum(x), np.zeros(x.shape[1]))
+        assert spectral_stats(x) == SpectralStats(0.0, 0.0, 0.0, 0.0, 0)
+        return
     got, want = covariance_spectrum(x), covariance_spectrum_direct(x)
     assert got.shape == want.shape == (x.shape[1],)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * want[0])
@@ -93,9 +100,33 @@ def test_every_row_equal_is_the_all_zero_spectrum():
     assert spectral_stats(x) == SpectralStats(0.0, 0.0, 0.0, 0.0, 0)
 
 
-def test_every_row_equal_at_an_inexact_mean():
-    x = np.tile(np.random.default_rng(2).standard_normal(30), (11, 1))
-    _assert_matches_direct(x)
+@pytest.mark.parametrize("n,d", [(11, 30), (7, 4)])
+def test_every_row_equal_at_an_inexact_mean(n, d):
+    x = np.tile(np.random.default_rng(2).standard_normal(d), (n, 1))
+    assert (x.mean(axis=0) != x[0]).any()
+    np.testing.assert_array_equal(covariance_spectrum(x), np.zeros(d))
+    assert spectral_stats(x) == SpectralStats(0.0, 0.0, 0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("n,d", [(11, 30), (7, 4)])
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_a_bootstrap_of_equal_rows_is_exactly_zero(n, d, scale):
+    # for n >= d a mean that rounds had the layer refused at 1e-200 and 1e200
+    x = np.tile(np.random.default_rng(2).standard_normal(d) * scale, (n, 1))
+    got = bootstrap_stats(ActivationMatrix("layer_1", x), 5, seed=5, threads=2).metrics
+    assert got == {metric: {"mean": 0.0, "std": 0.0} for metric in METRIC_NAMES}
+
+
+def test_a_draw_of_rows_equal_in_content_is_exactly_zero():
+    # rows 1, 4 and 6 are equal, and the draw takes only them: from the
+    # layer's Gram at the weights 4/7 and 3/7 the matrix was rounding,
+    # of rank 1
+    x = np.random.default_rng(7).standard_normal((7, 20))
+    x[[4, 6]] = x[1]
+    gram = _centred_gram(x - np.sort(x, axis=0)[len(x) // 2])
+    draw = _Draw(x, gram, np.array([4, 4, 6, 4, 6, 6, 4]))
+    np.testing.assert_array_equal(covariance_spectrum(draw), np.zeros(20))
+    assert np.trace(draw.matrix) == 0.0
 
 
 def test_two_distinct_rows():

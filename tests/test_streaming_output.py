@@ -209,6 +209,29 @@ class TestRunMergeStreams:
         )
         assert sorted(read_records(out)) == ["w0", "w1"]
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("stalled", [0, 1, 2], ids=["header", "tensor", "last"])
+    def test_a_write_that_makes_no_progress_exits_2_and_keeps_the_old_output(
+        self, tmp_path, monkeypatch, capsys, stalled, threads
+    ):
+        _sources(tmp_path, ["w0", "w1"])
+        out = tmp_path / "m.st"
+        recipe = _recipe(tmp_path, out)
+        assert main(["merge", str(recipe)]) == 0
+        kept = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_pwrite, calls = os.pwrite, []
+
+        def stalling_pwrite(fd, data, offset):
+            calls.append(offset)
+            return 0 if len(calls) > stalled else real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(tensor_io.os, "pwrite", stalling_pwrite)
+        capsys.readouterr()
+        assert main(["merge", str(recipe), "--threads", threads]) == 2
+        assert capsys.readouterr().err == f"error: no bytes written to {out}\n"
+        assert len(set(calls)) == len(calls) > stalled  # no stalled write is retried
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == kept
+
     def test_unwritable_output_exits_2_before_any_load(self, tmp_path, monkeypatch, capsys):
         _sources(tmp_path, ["w0", "w1"])
         loads = []
